@@ -32,12 +32,12 @@ from .characteristic import F1, f_raw, lambda_for_zeta
 from .formula import (
     Clause,
     Formula,
-    UpResult,
+    propagate,
     restrict,
-    satisfies,
     solve_2sat,
     unit_propagate_tracked,
     up_restrict,
+    verify_model,
 )
 from .outcomes import Outcome
 
@@ -55,8 +55,8 @@ class PhiConfig:
     tau_cap: int = 6
 
     def __post_init__(self) -> None:
-        if self.c <= 1:
-            raise ValueError("c must exceed 1")
+        if not self.c > 1:  # also rejects NaN
+            raise ValueError("c must exceed 1, got %r" % self.c)
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,7 @@ class Seeds:
 class BranchNode:
     """State consulted by the clause-choosing rule."""
 
-    formula: Formula
-    clause_seq: tuple[Clause, ...]
     pending: Optional[Seeds]
-    zeta_prefix: str
     assigned: frozenset[int]
 
 
@@ -93,37 +90,41 @@ BUNDLE_PATTERNS = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
 @dataclass(frozen=True)
 class TbResult:
+    """One probe: the member 2-clauses, their source indices in the probed
+    formula, the conflict flag and the propagation closure of the literal."""
+
     members: tuple[Clause, ...]
+    src: tuple[int, ...]
     conflict: bool
-    up: UpResult
+    fixes: dict[int, int]
 
 
 def tb_set(f: Formula, lit: int) -> TbResult:
     """2-clauses of UP(f | lit=1) descending from 3-clauses of f.
 
+    The members are the 3-clauses of f that the closure shortens by exactly
+    one literal without satisfying them; the restricted formula is never
+    built (a caller that commits the probe runs ``up_restrict(f, fixes)``).
     On a propagation conflict the member set is empty and the flag is set.
     """
-    res = up_restrict(f, {abs(lit): 1 if lit > 0 else 0})
-    if res.conflict:
-        return TbResult((), True, res)
+    fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
+    if conflict:
+        return TbResult((), (), True, fixes)
+    clauses, widths, occ = f.clauses, f.widths, f.occurrences
+    src = []
+    for v, b in fixes.items():
+        # clauses in which the fixed value falsifies a literal
+        for s in occ.get(-v if b else v, ()):
+            if widths[s] == 3:
+                x, y, z = clauses[s].lits
+                if (abs(x) in fixes) + (abs(y) in fixes) + (abs(z) in fixes) == 1:
+                    src.append(s)
+    src.sort()
     members = tuple(
-        c
-        for c, s in zip(res.formula.clauses, res.src)
-        if c.width == 2 and f.clauses[s].width == 3
+        Clause(tuple([l for l in clauses[s].lits if abs(l) not in fixes]), clauses[s].orig)
+        for s in src
     )
-    return TbResult(members, False, res)
-
-
-def _tb_with_src(f: Formula, lit: int):
-    res = up_restrict(f, {abs(lit): 1 if lit > 0 else 0})
-    if res.conflict:
-        return (), True, res
-    pairs = tuple(
-        (c, s)
-        for c, s in zip(res.formula.clauses, res.src)
-        if c.width == 2 and f.clauses[s].width == 3
-    )
-    return pairs, False, res
+    return TbResult(members, tuple(src), False, fixes)
 
 
 def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
@@ -141,27 +142,29 @@ def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
             if c.width != 2:
                 continue
             l1, l2 = c.lits
-            tb1, conf1, up1 = _tb_with_src(f, l1)
-            if not conf1 and not tb1:
-                f = up1.formula
-                fixes.update(up1.fixes)
-                changed = True
-                break
-            tb2, conf2, up2 = _tb_with_src(f, l2)
-            if not conf2 and not tb2:
-                f = up2.formula
-                fixes.update(up2.fixes)
+            autark = None
+            tb1 = tb_set(f, l1)
+            if not tb1.conflict and not tb1.members:
+                autark = tb1
+            else:
+                tb2 = tb_set(f, l2)
+                if not tb2.conflict and not tb2.members:
+                    autark = tb2
+            if autark is not None:
+                up = up_restrict(f, autark.fixes)
+                f = up.formula
+                fixes.update(up.fixes)
                 changed = True
                 break
             rep = None
-            if not conf1:
-                rep = next(((mc, s) for mc, s in tb1 if l2 in mc.lits), None)
-            if rep is None and not conf2:
-                rep = next(((mc, s) for mc, s in tb2 if l1 in mc.lits), None)
+            if not tb1.conflict:
+                rep = next(((m, s) for m, s in zip(tb1.members, tb1.src) if l2 in m.lits), None)
+            if rep is None and not tb2.conflict:
+                rep = next(((m, s) for m, s in zip(tb2.members, tb2.src) if l1 in m.lits), None)
             if rep is not None:
-                mc, s = rep
+                m, s = rep
                 cls = list(f.clauses)
-                cls[s] = mc
+                cls[s] = m
                 f = Formula(f.n, tuple(cls))
                 changed = True
                 break
@@ -306,9 +309,7 @@ class _Search:
             closed2 = closed + (self._close(open_origs, open_syms, True),)
             return self.node(f, alpha, closed2, (), (), None, depth, path_splits, 1)
 
-        seq = tuple(c for ch in closed for c in ch.origs) + open_origs
-        bn = BranchNode(f, seq, pending, "".join(open_syms), frozenset(alpha))
-        sel = rule_upsilon(bn)
+        sel = rule_upsilon(BranchNode(pending, frozenset(alpha)))
         if isinstance(sel, NeedFreshLiteral):
             if pending is not None and self._pending_conflicts(f, pending):
                 return self._leaf(Outcome.unsat())
@@ -462,23 +463,18 @@ class _Search:
         if tb1.conflict and tb0.conflict:
             return self._leaf(Outcome.unsat())
         if tb1.conflict:
+            forced = tb0
+        elif tb0.conflict or not tb1.members:
+            forced = tb1
+        elif not tb0.members:
+            forced = tb0
+        else:
+            forced = None
+        if forced is not None:
+            # a forced value or an autark: commit it without branching
+            up = up_restrict(f, forced.fixes)
             return self.node(
-                tb0.up.formula, {**alpha, **tb0.up.fixes}, closed, (), (), None,
-                depth, path_splits, split_credit,
-            )
-        if tb0.conflict:
-            return self.node(
-                tb1.up.formula, {**alpha, **tb1.up.fixes}, closed, (), (), None,
-                depth, path_splits, split_credit,
-            )
-        if not tb1.members:
-            return self.node(
-                tb1.up.formula, {**alpha, **tb1.up.fixes}, closed, (), (), None,
-                depth, path_splits, split_credit,
-            )
-        if not tb0.members:
-            return self.node(
-                tb0.up.formula, {**alpha, **tb0.up.fixes}, closed, (), (), None,
+                up.formula, {**alpha, **up.fixes}, closed, (), (), None,
                 depth, path_splits, split_credit,
             )
         self.stats.splits += 1
@@ -488,9 +484,10 @@ class _Search:
             child_splits = path_splits + 1
         for val, tb in ((0, tb0), (1, tb1)):
             seed = x if val == 1 else -x
+            up = up_restrict(f, tb.fixes)
             sub = self.node(
-                tb.up.formula,
-                {**alpha, **tb.up.fixes},
+                up.formula,
+                {**alpha, **up.fixes},
                 closed,
                 (),
                 (),
@@ -521,6 +518,6 @@ def br_3(
     if out.kind == "sat":
         total = {v: 0 for v in range(1, f.n + 1)}
         total.update(out.assignment)
-        assert satisfies(f, total)
+        verify_model(f, total)
         return Outcome.sat(total)
     return out

@@ -17,7 +17,7 @@ from typing import Optional
 from .branching3 import Br3Stats, PhiConfig, br_3
 from .bounds import ck_recurrence
 from .chains import Chain, Instance, build_chain, build_instance
-from .formula import Formula, restrict, satisfies, solve_2sat
+from .formula import Formula, restrict, solve_2sat, verify_model
 from .local_search import DlsStats, dls
 from .outcomes import Outcome
 
@@ -120,7 +120,7 @@ def solve_ksat(
         m = solve_2sat(f)
         if m is None:
             return SolveResult("UNSAT")
-        assert satisfies(f, m)
+        verify_model(f, m)
         return SolveResult("SAT", m)
     if w == 3:
         out = br_3(f, phi_cfg, trace=trace, stats=stats.br3)
@@ -128,7 +128,7 @@ def solve_ksat(
         out = br_k(f, ksat_config(w), stats=stats)
     if out.kind == "sat":
         stats.path = stats.path or "BR-solved"
-        assert satisfies(f, out.assignment)
+        verify_model(f, out.assignment)
         return SolveResult("SAT", out.assignment)
     if out.kind == "unsat":
         stats.path = stats.path or "BR-solved"
@@ -145,5 +145,5 @@ def solve_ksat(
     hit = dls(f, inst, stats=stats.dls)
     if hit is None:
         return SolveResult("UNSAT")
-    assert satisfies(f, hit)
+    verify_model(f, hit)
     return SolveResult("SAT", hit)

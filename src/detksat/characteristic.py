@@ -68,11 +68,7 @@ class _SingularModP(Exception):
 def _popcount_matrix(words: Sequence[int]) -> np.ndarray:
     wa = np.asarray(words, dtype=np.int64)
     xor = wa[:, None] ^ wa[None, :]
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(xor).astype(np.int64)
-    pop8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-    b = np.ascontiguousarray(xor.astype(np.uint32)).view(np.uint8)
-    return pop8[b].reshape(xor.shape[0], xor.shape[1], 4).sum(axis=2)
+    return np.bitwise_count(xor).astype(np.int64)
 
 
 def _solve_mod_prime(dmat: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Subcommands: solve (full pipeline / branching only / local search only /
 exhaustive oracle), gen (seeded random k-CNF), bounds (worst-case bases),
 chain-table (the 38-row chain type table), cover (covering-code builds).
 Exit codes follow solver convention: 10 satisfiable, 20 unsatisfiable,
-1 usage or parse errors, 2 table mismatch.
+1 usage or parse errors or a failed model check, 2 table mismatch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,14 @@ from .covering import (
     ell_cover_spaces,
     verify_coverage,
 )
-from .formula import DimacsError, parse_dimacs, satisfies, serialize_dimacs, brute_force_sat
+from .formula import (
+    DimacsError,
+    VerificationError,
+    brute_force_sat,
+    parse_dimacs,
+    serialize_dimacs,
+    verify_model,
+)
 from .generator import gen_random_kcnf
 from .local_search import dls
 from .characteristic import lambda_for_zeta
@@ -67,9 +74,21 @@ def _cmd_solve(args) -> int:
     except (OSError, DimacsError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
+    try:
+        phi = PhiConfig(c=args.c) if args.c is not None else None
+    except ValueError as e:
+        print("error: --c: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        return _solve(f, args, phi)
+    except VerificationError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _solve(f, args, phi) -> int:
     trace = (lambda line: print("trace: %s" % line, file=sys.stderr)) if args.trace else None
     stats = SolveStats()
-    phi = PhiConfig(c=args.c) if args.c else None
 
     if args.mode == "oracle":
         m = brute_force_sat(f)
@@ -80,7 +99,7 @@ def _cmd_solve(args) -> int:
         m = dls(f, None, stats=stats.dls)
         verdict = "SAT" if m is not None else "UNSAT"
         if m is not None:
-            assert satisfies(f, m)
+            verify_model(f, m)
         print(json.dumps(_report(verdict, m, "DLS", stats)))
         return EXIT_SAT if m is not None else EXIT_UNSAT
     if args.mode == "br":
@@ -99,13 +118,13 @@ def _cmd_solve(args) -> int:
             return 0
         verdict = "SAT" if out.kind == "sat" else "UNSAT"
         if out.kind == "sat":
-            assert satisfies(f, out.assignment)
+            verify_model(f, out.assignment)
         print(json.dumps(_report(verdict, out.assignment, "BR-solved", stats)))
         return EXIT_SAT if out.kind == "sat" else EXIT_UNSAT
 
     res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
     if res.verdict == "SAT":
-        assert satisfies(f, res.assignment)
+        verify_model(f, res.assignment)
     print(json.dumps(_report(res.verdict, res.assignment, stats.path, stats)))
     return EXIT_SAT if res.verdict == "SAT" else EXIT_UNSAT
 

@@ -4,11 +4,17 @@ Literals are signed DIMACS integers (variable v is ``v``/``-v``). Every clause
 remembers its original form, i.e. the clause of the unrestricted input it
 descends from; restriction and unit propagation preserve that reference.
 A zero-literal clause is the falsified clause (bottom).
+
+Unit propagation computes the closure of an assignment over per-literal
+occurrence lists (``propagate``) and restricts the formula once at the end,
+so probing a literal builds no clauses.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -83,6 +89,23 @@ class Formula:
             out.update(abs(l) for l in c.lits)
         return out
 
+    @cached_property
+    def occurrences(self) -> dict[int, list[int]]:
+        """Indices of the clauses containing each literal, in clause order.
+
+        Built on first use and kept for the life of the formula.
+        """
+        occ: dict[int, list[int]] = {}
+        for i, c in enumerate(self.clauses):
+            for l in c.lits:
+                occ.setdefault(l, []).append(i)
+        return occ
+
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """Number of literals of each clause."""
+        return tuple(len(c.lits) for c in self.clauses)
+
     def __len__(self) -> int:
         return len(self.clauses)
 
@@ -99,7 +122,10 @@ def formula(n: int, clause_lits: Iterable[Iterable[int]]) -> Formula:
 
 
 def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS CNF. Duplicate literals are dropped; tautologies rejected."""
+    """Parse DIMACS CNF. Duplicate literals are dropped; tautologies rejected.
+
+    A line starting with ``%`` ends the clause list, as in SATLIB files.
+    """
     n = m = None
     clauses: list[Clause] = []
     cur: list[int] = []
@@ -108,6 +134,8 @@ def parse_dimacs(text: str) -> Formula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break  # SATLIB trailer ("%" then "0"): the clauses have ended
         if line.startswith("p"):
             if n is not None:
                 raise DimacsError("line %d: duplicate header" % lineno)
@@ -166,88 +194,9 @@ def serialize_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
-    """Fix variables per alpha: drop satisfied clauses, strip false literals.
-
-    A fully falsified clause becomes bottom. Original forms are preserved.
-    """
+def _restrict(f: Formula, alpha: Mapping[int, int]) -> tuple[tuple[Clause, ...], tuple[int, ...]]:
+    """Clauses of f | alpha in input order, each with the index of its source."""
     out: list[Clause] = []
-    for c in f.clauses:
-        sat = False
-        lits: list[int] = []
-        for l in c.lits:
-            v = abs(l)
-            if v in alpha:
-                if (alpha[v] == 1) == (l > 0):
-                    sat = True
-                    break
-            else:
-                lits.append(l)
-        if not sat:
-            out.append(Clause(tuple(lits), c.orig))
-    return Formula(f.n, tuple(out))
-
-
-def satisfies(f: Formula, alpha: Mapping[int, int]) -> bool:
-    for c in f.clauses:
-        if not any((alpha.get(abs(l), 0) == 1) == (l > 0) for l in c.lits):
-            return False
-    return True
-
-
-@dataclass
-class UpResult:
-    formula: Formula
-    fixes: dict[int, int]
-    conflict: bool
-    # per surviving clause, index of its ancestor in the input formula
-    src: tuple[int, ...] = ()
-
-
-def _up(f: Formula, src: Optional[list[int]] = None) -> UpResult:
-    """Unit propagation in clause order, tracking fixed variables and ancestry."""
-    cls = list(f.clauses)
-    if src is None:
-        src = list(range(len(cls)))
-    fixes: dict[int, int] = {}
-    while True:
-        if any(c.is_bottom for c in cls):
-            return UpResult(Formula(f.n, tuple(cls)), fixes, True, tuple(src))
-        unit = next((c for c in cls if c.width == 1), None)
-        if unit is None:
-            return UpResult(Formula(f.n, tuple(cls)), fixes, False, tuple(src))
-        l = unit.lits[0]
-        fixes[abs(l)] = 1 if l > 0 else 0
-        nxt_c: list[Clause] = []
-        nxt_s: list[int] = []
-        for c, s in zip(cls, src):
-            sat = False
-            lits: list[int] = []
-            for lit in c.lits:
-                if abs(lit) == abs(l):
-                    if lit == l:
-                        sat = True
-                        break
-                else:
-                    lits.append(lit)
-            if not sat:
-                nxt_c.append(Clause(tuple(lits), c.orig))
-                nxt_s.append(s)
-        cls, src = nxt_c, nxt_s
-
-
-def unit_propagate(f: Formula) -> Formula:
-    """Run unit propagation until no 1-clause remains (or bottom appears)."""
-    return _up(f).formula
-
-
-def unit_propagate_tracked(f: Formula) -> UpResult:
-    return _up(f)
-
-
-def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
-    """UP(f | alpha) with ancestry indices relative to f and all fixes recorded."""
-    cls: list[Clause] = []
     src: list[int] = []
     for i, c in enumerate(f.clauses):
         sat = False
@@ -261,11 +210,111 @@ def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
             else:
                 lits.append(l)
         if not sat:
-            cls.append(Clause(tuple(lits), c.orig))
+            out.append(c if len(lits) == len(c.lits) else Clause(tuple(lits), c.orig))
             src.append(i)
-    res = _up(Formula(f.n, tuple(cls)), src)
-    res.fixes = {**dict(alpha), **res.fixes}
-    return res
+    return tuple(out), tuple(src)
+
+
+def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
+    """Fix variables per alpha: drop satisfied clauses, strip false literals.
+
+    A fully falsified clause becomes bottom. Original forms are preserved.
+    """
+    return Formula(f.n, _restrict(f, alpha)[0])
+
+
+def _first_falsified(f: Formula, alpha: Mapping[int, int]) -> Optional[int]:
+    """Index of the first clause alpha falsifies (unset variables read 0)."""
+    for i, c in enumerate(f.clauses):
+        if not any((alpha.get(abs(l), 0) == 1) == (l > 0) for l in c.lits):
+            return i
+    return None
+
+
+def satisfies(f: Formula, alpha: Mapping[int, int]) -> bool:
+    return _first_falsified(f, alpha) is None
+
+
+class VerificationError(RuntimeError):
+    """A solver returned an assignment that falsifies its input formula."""
+
+
+def verify_model(f: Formula, alpha: Mapping[int, int]) -> None:
+    """Raise VerificationError unless alpha satisfies f (unset variables read 0).
+
+    An explicit check, so that ``python -O`` keeps it.
+    """
+    i = _first_falsified(f, alpha)
+    if i is not None:
+        raise VerificationError("assignment falsifies clause %d %s" % (i + 1, f.clauses[i]))
+
+
+def propagate(f: Formula, alpha: Mapping[int, int]) -> tuple[dict[int, int], bool]:
+    """Unit-propagation closure of alpha over f, without building clauses.
+
+    Returns the fixed variables (alpha first, then each propagated unit) and
+    whether a clause was falsified. Units are taken lowest clause index
+    first and propagation stops at the first falsified clause, so a conflict
+    reports the same partial fixes as propagating clause by clause would.
+    """
+    clauses = f.clauses
+    occ = f.occurrences
+    # per clause: literals not yet falsified (read only while not sat[i])
+    free = list(f.widths)
+    sat = bytearray(len(clauses))
+    fixes = dict(alpha)
+    conflict = 0 in free
+    units = [i for i, w in enumerate(free) if w == 1] if 1 in free else []
+    todo = [v if b == 1 else -v for v, b in fixes.items()]
+    while not conflict:
+        for l in todo:
+            for i in occ.get(l, ()):
+                sat[i] = 1
+            for i in occ.get(-l, ()):
+                if not sat[i]:
+                    free[i] -= 1
+                    if free[i] == 1:
+                        heapq.heappush(units, i)
+                    elif free[i] == 0:
+                        conflict = True
+        if conflict:
+            break
+        while units and sat[units[0]]:
+            heapq.heappop(units)
+        if not units:
+            break
+        l = next(l for l in clauses[heapq.heappop(units)].lits if abs(l) not in fixes)
+        fixes[abs(l)] = 1 if l > 0 else 0
+        todo = (l,)
+    return fixes, conflict
+
+
+@dataclass
+class UpResult:
+    formula: Formula
+    fixes: dict[int, int]
+    conflict: bool
+    # per surviving clause, index of its ancestor in the input formula
+    src: tuple[int, ...] = ()
+
+
+def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
+    """UP(f | alpha) with ancestry indices relative to f and all fixes recorded."""
+    fixes, conflict = propagate(f, alpha)
+    if not fixes:
+        # nothing to restrict: keep f, and with it its occurrence index
+        return UpResult(f, fixes, conflict, tuple(range(len(f.clauses))))
+    cls, src = _restrict(f, fixes)
+    return UpResult(Formula(f.n, cls), fixes, conflict, src)
+
+
+def unit_propagate_tracked(f: Formula) -> UpResult:
+    return up_restrict(f, {})
+
+
+def unit_propagate(f: Formula) -> Formula:
+    """Run unit propagation until no 1-clause remains (or bottom appears)."""
+    return up_restrict(f, {}).formula
 
 
 # ---------------------------------------------------------------------------

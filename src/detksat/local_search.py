@@ -22,7 +22,7 @@ from .covering import (
     StructuredSpace,
     build_generalized_code,
 )
-from .formula import Formula, satisfies
+from .formula import Formula, satisfies, verify_model
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,6 @@ def dls(
                 stats.balls_searched += 1
             hit = searchball(f, query.assignment(f.n), query.radius)
             if hit is not None:
-                assert satisfies(f, hit)
+                verify_model(f, hit)
                 return hit
     return None

@@ -1,6 +1,9 @@
 import random
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from detksat.branching3 import (
     BUNDLE_PATTERNS,
     Br3Stats,
@@ -16,7 +19,15 @@ from detksat.branching3 import (
     tb_set,
 )
 from detksat.chains import ChainVector, zeta
-from detksat.formula import brute_force_sat, formula, restrict, satisfies
+from detksat.formula import (
+    Clause,
+    Formula,
+    brute_force_sat,
+    formula,
+    satisfies,
+    unit_propagate_tracked,
+    up_restrict,
+)
 from detksat.generator import gen_random_kcnf
 
 
@@ -31,12 +42,14 @@ class TestTbSet:
         assert not tb.conflict
         assert [m.lits for m in tb.members] == [(3, 4)]
         assert tb.members[0].orig == (-1, 3, 4)
+        assert tb.src == (1,)
+        assert tb.fixes == {1: 1}
 
     def test_autark_case(self):
         f = formula(4, [(1, 2), (-1, 3, 4)])
         tb = tb_set(f, 2)
         assert not tb.conflict and tb.members == ()
-        assert lits(tb.up.formula) == [(-1, 3, 4)]
+        assert lits(up_restrict(f, tb.fixes).formula) == [(-1, 3, 4)]
 
     def test_conflict_flag(self):
         f = formula(2, [(1,), (-1,)])
@@ -102,32 +115,20 @@ class TestProcedureP:
 class TestRuleUpsilon:
     def test_seeded_selection(self):
         f = formula(7, [(1, 2), (-1, 3, 4), (-3, 5, 6)])
-        node = BranchNode(
-            restrict(f, {1: 1, 2: 0}),
-            (),
-            Seeds(f, (1,)),
-            "",
-            frozenset({1, 2}),
-        )
+        node = BranchNode(Seeds(f, (1,)), frozenset({1, 2}))
         got = rule_upsilon(node)
         assert got.lits == (3, 4)
 
     def test_root_needs_fresh(self):
         f = formula(3, [(1, 2, 3)])
-        node = BranchNode(f, (), None, "", frozenset())
+        node = BranchNode(None, frozenset())
         assert isinstance(rule_upsilon(node), NeedFreshLiteral)
 
     def test_viability_skips_assigned_members(self):
         # the first member's variables are burned by the branch; the next
         # viable member is returned instead
         f = formula(8, [(1, 2), (-1, 2, 3), (-1, 4, 5)])
-        node = BranchNode(
-            restrict(f, {1: 1, 2: 1}),
-            (),
-            Seeds(f, (1,)),
-            "",
-            frozenset({1, 2}),
-        )
+        node = BranchNode(Seeds(f, (1,)), frozenset({1, 2}))
         got = rule_upsilon(node)
         assert got.lits == (4, 5)
 
@@ -266,3 +267,124 @@ class TestBr3:
 
         with pytest.raises(ValueError):
             br_3(formula(4, [(1, 2, 3, 4)]))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: propagation over occurrence lists against a reference
+# that rebuilds the clause list after each unit. The reference fixes the
+# semantics: the lowest-index unit clause goes first, propagation stops at
+# the first falsified clause, and clauses keep their input order.
+
+
+def _ref_up(f, alpha):
+    """Reference UP(f | alpha): (clauses, src, fixes, conflict) by rescanning."""
+    fixes = dict(alpha)
+    cls = []
+    src = []
+    for i, c in enumerate(f.clauses):
+        if not any((fixes.get(abs(l)) == 1) == (l > 0) for l in c.lits if abs(l) in fixes):
+            cls.append(Clause(tuple(l for l in c.lits if abs(l) not in fixes), c.orig))
+            src.append(i)
+    while not any(c.is_bottom for c in cls):
+        unit = next((c for c in cls if c.width == 1), None)
+        if unit is None:
+            return cls, src, fixes, False
+        (l,) = unit.lits
+        fixes[abs(l)] = 1 if l > 0 else 0
+        keep = [(c, s) for c, s in zip(cls, src) if l not in c.lits]
+        cls = [Clause(tuple(x for x in c.lits if x != -l), c.orig) for c, _ in keep]
+        src = [s for _, s in keep]
+    return cls, src, fixes, True
+
+
+def _ref_tb(f, lit):
+    """Reference probe: (members, src, conflict, fixes)."""
+    cls, src, fixes, conflict = _ref_up(f, {abs(lit): 1 if lit > 0 else 0})
+    if conflict:
+        return [], [], True, fixes
+    pairs = [(c, s) for c, s in zip(cls, src) if c.width == 2 and f.clauses[s].width == 3]
+    return [c for c, _ in pairs], [s for _, s in pairs], False, fixes
+
+
+def _ref_procedure_p(f):
+    cls, _, fixes, conflict = _ref_up(f, {})
+    f = Formula(f.n, tuple(cls))
+    while not conflict:
+        for c in f.clauses:
+            if c.width != 2:
+                continue
+            l1, l2 = c.lits
+            probes = []
+            for lit in (l1, l2):
+                tb = _ref_tb(f, lit)
+                if not tb[2] and not tb[0]:  # autark: commit it
+                    cls, _, fx, _ = _ref_up(f, {abs(lit): 1 if lit > 0 else 0})
+                    f = Formula(f.n, tuple(cls))
+                    fixes.update(fx)
+                    break
+                probes.append(tb)
+            else:
+                (m1, s1, c1, _), (m2, s2, c2, _) = probes
+                rep = None if c1 else next(((m, s) for m, s in zip(m1, s1) if l2 in m.lits), None)
+                if rep is None and not c2:
+                    rep = next(((m, s) for m, s in zip(m2, s2) if l1 in m.lits), None)
+                if rep is None:
+                    continue
+                new = list(f.clauses)
+                new[rep[1]] = rep[0]
+                f = Formula(f.n, tuple(new))
+            break
+        else:
+            return f, fixes
+        cls, _, fx, conflict = _ref_up(f, {})
+        f = Formula(f.n, tuple(cls))
+        fixes.update(fx)
+    return f, fixes
+
+
+def _shape(clauses):
+    return [(c.lits, c.orig) for c in clauses]
+
+
+@st.composite
+def _cnf_and_alpha(draw):
+    """Width <= 3 CNFs with units, bottoms, duplicate clauses and unused
+    variables (n = 0 included), plus a partial assignment."""
+    n = draw(st.integers(0, 7))
+    var_sets = st.lists(st.integers(1, n), unique=True, max_size=min(3, n)) if n else st.just([])
+    cls = [tuple(v if draw(st.booleans()) else -v for v in vs) for vs in draw(st.lists(var_sets, max_size=14))]
+    if cls:
+        for i in draw(st.lists(st.integers(0, len(cls) - 1), max_size=3)):
+            cls.insert(draw(st.integers(0, len(cls))), cls[i])
+    alpha = draw(st.dictionaries(st.integers(1, n), st.integers(0, 1), max_size=3)) if n else {}
+    return formula(n, cls), alpha
+
+
+class TestPropagationMatchesRescan:
+    @settings(max_examples=400, deadline=None)
+    @given(_cnf_and_alpha())
+    def test_up_restrict_and_unit_propagate(self, case):
+        f, alpha = case
+        for got, want in ((up_restrict(f, alpha), _ref_up(f, alpha)), (unit_propagate_tracked(f), _ref_up(f, {}))):
+            cls, src, fixes, conflict = want
+            assert _shape(got.formula.clauses) == _shape(cls)
+            assert list(got.src) == src
+            assert list(got.fixes.items()) == list(fixes.items())
+            assert got.conflict == conflict
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cnf_and_alpha())
+    def test_tb_set_and_procedure_p(self, case):
+        f, _ = case
+        g, fixes = procedure_p_tracked(f)
+        rg, rfixes = _ref_procedure_p(f)
+        assert _shape(g.clauses) == _shape(rg.clauses)
+        assert list(fixes.items()) == list(rfixes.items())
+        for h in (f, g):
+            for lit in sorted({l for c in h.clauses for l in c.lits}):
+                tb = tb_set(h, lit)
+                members, src, conflict, fx = _ref_tb(h, lit)
+                assert _shape(tb.members) == _shape(members)
+                assert list(tb.src) == src
+                assert tb.conflict == conflict
+                assert list(tb.fixes.items()) == list(fx.items())

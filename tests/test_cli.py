@@ -53,6 +53,27 @@ class TestSolve:
         assert main(["solve", str(p)]) == 1
         assert "tautological" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["0.5", "0", "1", "nan"])
+    def test_base_not_above_one_exit_1(self, sat_file, capsys, c):
+        assert main(["solve", sat_file, "--c", c]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --c:") and "exceed 1" in err
+
+    def test_base_accepted(self, sat_file, capsys):
+        assert main(["solve", sat_file, "--c", "1.05"]) == 10
+
+    def test_failed_model_check_exit_1(self, sat_file, capsys, monkeypatch):
+        from detksat import cli
+        from detksat.branching_k import SolveResult
+
+        monkeypatch.setattr(
+            cli, "solve_ksat", lambda f, **kw: SolveResult("SAT", {1: 0, 2: 0, 3: 0})
+        )
+        assert main(["solve", sat_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "falsifies clause 1" in captured.err
+
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
         from detksat.formula import serialize_dimacs

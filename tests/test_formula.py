@@ -4,6 +4,7 @@ import pytest
 
 from detksat.formula import (
     DimacsError,
+    VerificationError,
     brute_force_sat,
     clause,
     formula,
@@ -14,6 +15,7 @@ from detksat.formula import (
     serialize_dimacs,
     solve_2sat,
     unit_propagate,
+    verify_model,
 )
 from detksat.generator import gen_random_kcnf
 
@@ -56,6 +58,16 @@ class TestParse:
         with pytest.raises(DimacsError, match="declares"):
             parse_dimacs("p cnf 2 2\n1 0")
 
+    def test_satlib_trailer(self):
+        f = parse_dimacs("p cnf 3 2\n1 -2 0\n3 0\n%\n0\n\n")
+        assert f.n == 3 and lits(f) == [(1, -2), (3,)]
+
+    def test_trailer_keeps_checks(self):
+        with pytest.raises(DimacsError, match="declares"):
+            parse_dimacs("p cnf 3 2\n1 -2 0\n%\n3 0\n")
+        with pytest.raises(DimacsError, match="unterminated"):
+            parse_dimacs("p cnf 3 1\n1 -2\n%\n0\n")
+
     def test_roundtrip(self):
         for seed in range(25):
             f = gen_random_kcnf(3, 9, 30, seed)
@@ -87,6 +99,17 @@ class TestRestrict:
             alpha = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(1, n))}
             if brute_force_sat(restrict(f, alpha)) is not None:
                 assert brute_force_sat(f) is not None
+
+
+class TestVerifyModel:
+    def test_accepts_model(self):
+        verify_model(formula(3, [(1, -2), (3,)]), {1: 1, 3: 1})
+
+    def test_names_falsified_clause(self):
+        # unset variables read 0, so (-2 3) is the first falsified clause
+        f = formula(3, [(1, -2), (2, 3), (-1,)])
+        with pytest.raises(VerificationError, match="clause 2 "):
+            verify_model(f, {1: 1})
 
 
 class TestUnitPropagation:
