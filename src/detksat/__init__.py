@@ -77,5 +77,5 @@ from .formula import (
     unit_propagate,
 )
 from .generator import Lcg, gen_random_kcnf
-from .local_search import BallQuery, dls, searchball
+from .local_search import dls, searchball
 from .outcomes import Outcome

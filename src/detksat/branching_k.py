@@ -16,7 +16,7 @@ from typing import Optional
 
 from .branching3 import Br3Stats, PhiConfig, br_3
 from .bounds import ck_recurrence
-from .chains import Chain, Instance, build_chain, build_instance
+from .chains import Chain, Instance, build_chain, build_instance, group_by_type
 from .formula import Formula, restrict, solve_2sat, verify_model
 from .local_search import DlsStats, dls
 from .outcomes import Outcome
@@ -135,13 +135,7 @@ def solve_ksat(
         return SolveResult("UNSAT")
     stats.path = "DLS"
     inst = out.instance
-    counts: dict[str, int] = {}
-    from .chains import canonical_zeta, zeta
-
-    for ch in inst.chains:
-        key = canonical_zeta(zeta(ch.clauses))
-        counts[key] = counts.get(key, 0) + 1
-    stats.chain_vector = counts
+    stats.chain_vector = {key: len(g) for key, g in group_by_type(inst.chains).items()}
     hit = dls(f, inst, stats=stats.dls)
     if hit is None:
         return SolveResult("UNSAT")

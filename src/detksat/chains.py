@@ -212,6 +212,15 @@ def canonical_zeta(zeta_str: str) -> str:
     return min(body, body[::-1]) + "*"
 
 
+def group_by_type(chains: Iterable[Chain]) -> dict[str, list[Chain]]:
+    """Chains grouped by canonical type string, groups in first-occurrence
+    order and chains in input order within a group."""
+    groups: dict[str, list[Chain]] = {}
+    for ch in chains:
+        groups.setdefault(canonical_zeta(zeta(ch.clauses)), []).append(ch)
+    return groups
+
+
 def canonical_realization(zeta_str: str) -> Chain:
     """Concrete 3-CNF chain realizing a type string, all-positive baseline.
 

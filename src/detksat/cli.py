@@ -4,7 +4,8 @@ Subcommands: solve (full pipeline / branching only / local search only /
 exhaustive oracle), gen (seeded random k-CNF), bounds (worst-case bases),
 chain-table (the 38-row chain type table), cover (covering-code builds).
 Exit codes follow solver convention: 10 satisfiable, 20 unsatisfiable,
-1 usage or parse errors or a failed model check, 2 table mismatch.
+1 usage or parse errors, an input beyond a size guard or a failed model
+check, 2 table mismatch.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from . import __version__
 from .bounds import ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
-from .chains import canonical_realization, zeta, canonical_zeta
+from .chains import canonical_realization, group_by_type
 from .characteristic import Table2Error, reproduce_table2
 from .covering import (
+    CoverError,
     CubeFactor,
     PowerFactor,
     StructuredSpace,
@@ -81,7 +83,7 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     try:
         return _solve(f, args, phi)
-    except VerificationError as e:
+    except (VerificationError, CoverError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 
@@ -91,7 +93,11 @@ def _solve(f, args, phi) -> int:
     stats = SolveStats()
 
     if args.mode == "oracle":
-        m = brute_force_sat(f)
+        try:
+            m = brute_force_sat(f)
+        except ValueError as e:  # the size guard
+            print("error: %s" % e, file=sys.stderr)
+            return EXIT_ERROR
         verdict = "SAT" if m is not None else "UNSAT"
         print(json.dumps(_report(verdict, m, "oracle", stats)))
         return EXIT_SAT if m is not None else EXIT_UNSAT
@@ -108,10 +114,7 @@ def _solve(f, args, phi) -> int:
             return EXIT_ERROR
         out = br_3(f, phi, trace=trace, stats=stats.br3)
         if out.kind == "instance":
-            vec = {}
-            for ch in out.instance.chains:
-                key = canonical_zeta(zeta(ch.clauses))
-                vec[key] = vec.get(key, 0) + 1
+            vec = {key: len(g) for key, g in group_by_type(out.instance.chains).items()}
             rep = _report(None, None, "BR", stats, {"outcome": "instance", "chains": vec})
             rep.pop("verdict")
             print(json.dumps(rep))
@@ -212,7 +215,6 @@ def main(argv=None) -> int:
     s.add_argument("--mode", choices=("full", "br", "dls", "oracle"), default="full")
     s.add_argument("--c", type=float, default=None, help="termination-condition base")
     s.add_argument("--trace", action="store_true")
-    s.add_argument("--threads", type=int, default=1, help="accepted; execution is sequential")
     s.set_defaults(fn=_cmd_solve)
 
     g = sub.add_parser("gen", help="generate a seeded random k-CNF")

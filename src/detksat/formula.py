@@ -72,7 +72,7 @@ class Formula:
 
     @property
     def has_bottom(self) -> bool:
-        return any(c.is_bottom for c in self.clauses)
+        return 0 in self.widths
 
     def three_clauses(self) -> list[Clause]:
         return [c for c in self.clauses if c.width == 3]
@@ -100,6 +100,25 @@ class Formula:
             for l in c.lits:
                 occ.setdefault(l, []).append(i)
         return occ
+
+    @cached_property
+    def byte_sat_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Clause bitsets satisfied by each byte of an assignment word.
+
+        In a word, bit v-1 is the value of variable v. Table j maps the byte
+        of variables 8j+1..8j+8 to the set of clauses (bit i for clause i)
+        that those eight values satisfy, so the clauses a word satisfies are
+        the union of one entry per byte. Built on first use.
+        """
+        tables = []
+        for base in range(1, self.n + 1, 8):
+            tab = [0]
+            for v in range(base, base + 8):
+                neg = sum(1 << i for i in self.occurrences.get(-v, ()))
+                pos = sum(1 << i for i in self.occurrences.get(v, ()))
+                tab = [t | neg for t in tab] + [t | pos for t in tab]
+            tables.append(tuple(tab))
+        return tuple(tables)
 
     @cached_property
     def widths(self) -> tuple[int, ...]:

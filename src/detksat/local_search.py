@@ -3,9 +3,12 @@ bounded-radius ball search.
 
 searchball branches on the literals of the first unsatisfied clause with a
 shrinking flip budget; it finds a satisfying assignment within Hamming
-distance r of the start iff one exists. dls builds the generalized covering
-family for the formula's structured space (free-variable cube times chain
-solution spaces) and runs searchball from every center, ascending by radius.
+distance r of the start iff one exists. Its state is an assignment word, and
+the unsatisfied clauses of a word are one bitset taken from the formula's
+per-byte tables (``Formula.byte_sat_tables``). dls builds the generalized
+covering family for the formula's structured space (free-variable cube times
+chain solution spaces) and runs searchball from every center, ascending by
+radius.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .chains import Instance, solution_space, zeta, canonical_zeta
+from .chains import Instance, canonical_zeta, group_by_type, solution_space, zeta
 from .characteristic import characteristic_for_chain, lambda_for_zeta
 from .covering import (
     CubeFactor,
@@ -25,61 +28,41 @@ from .covering import (
 from .formula import Formula, satisfies, verify_model
 
 
-@dataclass(frozen=True)
-class BallQuery:
-    """A full-assignment center (bit i-1 is variable i) and a radius."""
+def searchball(f: Formula, center: int, r: int) -> Optional[int]:
+    """Complete search of the radius-r ball around an assignment word.
 
-    center: int
-    radius: int
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("negative radius")
-
-    def assignment(self, n: int) -> dict[int, int]:
-        return {v: (self.center >> (v - 1)) & 1 for v in range(1, n + 1)}
-
-
-def searchball(
-    f: Formula, alpha: dict[int, int], r: int
-) -> Optional[dict[int, int]]:
-    """Complete search of the radius-r ball around a total assignment.
-
-    Deterministic: always branches the first unsatisfied clause in clause
-    order, flipping its literals in clause order. Returns None if the ball
-    holds no satisfying assignment.
+    In a word, bit v-1 is the value of variable v. Deterministic: always
+    branches the first unsatisfied clause in clause order, setting its
+    literals true in clause order, one unit of budget per flip. Returns the
+    first satisfying word found, or None if the ball holds none.
     """
     if f.has_bottom:
         raise ValueError("bottom clause present")
-    cur = dict(alpha)
+    if r < 0:
+        raise ValueError("negative radius")
+    clauses = f.clauses
+    full = (1 << len(clauses)) - 1
+    tables = f.byte_sat_tables
 
-    def first_unsat() -> Optional[tuple[int, ...]]:
-        for c in f.clauses:
-            sat = False
-            for l in c.lits:
-                if (cur.get(abs(l), 0) == 1) == (l > 0):
-                    sat = True
-                    break
-            if not sat:
-                return c.lits
+    def rec(w: int, budget: int) -> Optional[int]:
+        sat = 0
+        rest = w
+        for table in tables:
+            sat |= table[rest & 255]
+            rest >>= 8
+        unsat = full & ~sat
+        if not unsat:
+            return w
+        if budget == 0:
+            return None
+        for l in clauses[(unsat & -unsat).bit_length() - 1].lits:
+            bit = 1 << (abs(l) - 1)
+            hit = rec(w | bit if l > 0 else w & ~bit, budget - 1)
+            if hit is not None:
+                return hit
         return None
 
-    def rec(budget: int) -> bool:
-        lits = first_unsat()
-        if lits is None:
-            return True
-        if budget == 0:
-            return False
-        for l in lits:
-            v = abs(l)
-            old = cur.get(v, 0)
-            cur[v] = 1 if l > 0 else 0
-            if rec(budget - 1):
-                return True
-            cur[v] = old
-        return False
-
-    return dict(cur) if rec(r) else None
+    return rec(center, r)
 
 
 @dataclass
@@ -96,32 +79,17 @@ def structured_space_for(f: Formula, inst: Instance) -> StructuredSpace:
     factors: list = []
     if free:
         factors.append(CubeFactor(len(free), free))
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for ch in inst.chains:
-        key = canonical_zeta(zeta(ch.clauses))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(solution_space(ch))
-    for key in order:
-        factors.append(PowerFactor(tuple(groups[key])))
+    for group in group_by_type(inst.chains).values():
+        factors.append(PowerFactor(tuple(solution_space(ch) for ch in group)))
     return StructuredSpace(tuple(factors))
 
 
 def _group_lambdas(f: Formula, inst: Instance, k: int) -> list[Fraction]:
     """One characteristic value per chain group, in group order."""
-    seen: dict[str, Fraction] = {}
-    order: list[str] = []
-    for ch in inst.chains:
-        key = canonical_zeta(zeta(ch.clauses))
-        if key not in seen:
-            order.append(key)
-            if k == 3:
-                seen[key] = lambda_for_zeta(key)
-            else:
-                seen[key] = characteristic_for_chain(ch, k).lam
-    return [seen[key] for key in order]
+    return [
+        lambda_for_zeta(key) if k == 3 else characteristic_for_chain(group[0], k).lam
+        for key, group in group_by_type(inst.chains).items()
+    ]
 
 
 def _validate_instance_clauses(f: Formula, inst: Instance) -> None:
@@ -165,11 +133,11 @@ def dls(
             word = 0
             for i, v in enumerate(coord_vars):
                 word |= ((center >> i) & 1) << (v - 1)
-            query = BallQuery(word, r)
             if stats is not None:
                 stats.balls_searched += 1
-            hit = searchball(f, query.assignment(f.n), query.radius)
+            hit = searchball(f, word, r)
             if hit is not None:
-                verify_model(f, hit)
-                return hit
+                alpha = {v: (hit >> (v - 1)) & 1 for v in range(1, f.n + 1)}
+                verify_model(f, alpha)
+                return alpha
     return None

@@ -74,6 +74,23 @@ class TestSolve:
         assert captured.out == ""
         assert "falsifies clause 1" in captured.err
 
+    def test_cover_guard_exit_1(self, tmp_path, capsys):
+        # random 4-CNF whose 1-chain power factor is too wide for one code
+        p = tmp_path / "wide.cnf"
+        main(["gen", "--k", "4", "--n", "32", "--m", "317", "--seed", "0", "--out", str(p)])
+        assert main(["solve", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: power space guard")
+
+    def test_oracle_guard_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "big.cnf"
+        p.write_text("p cnf 31 1\n1 0\n")
+        assert main(["solve", str(p), "--mode", "oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: brute force guard")
+
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
         from detksat.formula import serialize_dimacs

@@ -1,8 +1,12 @@
 import random
 from itertools import combinations
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from detksat.chains import build_chain, build_instance
-from detksat.formula import brute_force_sat, formula, hamming, satisfies
+from detksat.formula import brute_force_sat, formula, hamming, satisfies, verify_model
 from detksat.generator import gen_random_kcnf
 from detksat.local_search import DlsStats, dls, searchball, structured_space_for
 
@@ -11,15 +15,85 @@ def as_word(alpha, n):
     return sum(alpha[v] << (v - 1) for v in range(1, n + 1))
 
 
+def as_alpha(word, n):
+    return {v: (word >> (v - 1)) & 1 for v in range(1, n + 1)}
+
+
+def _ref_searchball(f, alpha, r):
+    """Dict-based depth-first ball search: the reference for searchball."""
+    cur = dict(alpha)
+
+    def first_unsat():
+        for c in f.clauses:
+            if not any((cur.get(abs(l), 0) == 1) == (l > 0) for l in c.lits):
+                return c.lits
+        return None
+
+    def rec(budget):
+        lits = first_unsat()
+        if lits is None:
+            return True
+        if budget == 0:
+            return False
+        for l in lits:
+            v = abs(l)
+            old = cur.get(v, 0)
+            cur[v] = 1 if l > 0 else 0
+            if rec(budget - 1):
+                return True
+            cur[v] = old
+        return False
+
+    return dict(cur) if rec(r) else None
+
+
+@st.composite
+def _cnf(draw, min_width=1, max_n=8):
+    """CNFs of clause widths min_width..5 with duplicate clauses and unused
+    variables (n = 0 included)."""
+    n = draw(st.integers(0, max_n))
+    var_sets = st.lists(st.integers(1, n), min_size=min_width, max_size=min(5, n), unique=True)
+    cls = [tuple(v if draw(st.booleans()) else -v for v in vs)
+           for vs in draw(st.lists(var_sets, max_size=16))] if n else []
+    if min_width == 0 and draw(st.booleans()):
+        cls.insert(draw(st.integers(0, len(cls))), ())
+    if cls:
+        for i in draw(st.lists(st.integers(0, len(cls) - 1), max_size=3)):
+            cls.insert(draw(st.integers(0, len(cls))), cls[i])
+    return formula(n, cls)
+
+
+@st.composite
+def _ball(draw):
+    """A CNF without bottom, a center word and a radius from 0 to n + 1."""
+    f = draw(_cnf())
+    return f, draw(st.integers(0, (1 << f.n) - 1)), draw(st.integers(0, f.n + 1))
+
+
 class TestSearchball:
     def test_one_flip(self):
         f = formula(3, [(1, 2, 3)])
-        hit = searchball(f, {1: 0, 2: 0, 3: 0}, 1)
-        assert hit == {1: 1, 2: 0, 3: 0}  # first literal flipped first
+        hit = searchball(f, 0b000, 1)
+        assert hit == 0b001  # first literal flipped first
 
     def test_zero_budget(self):
         f = formula(3, [(1, 2, 3)])
-        assert searchball(f, {1: 0, 2: 0, 3: 0}, 0) is None
+        assert searchball(f, 0b000, 0) is None
+
+    def test_rejects_bottom_and_negative_radius(self):
+        with pytest.raises(ValueError):
+            searchball(formula(2, [(1,), ()]), 0, 2)
+        with pytest.raises(ValueError):
+            searchball(formula(2, [(1, 2)]), 0, -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ball())
+    @example((formula(0, []), 0, 1))
+    def test_matches_dict_reference(self, ball):
+        f, center, r = ball
+        got = searchball(f, center, r)
+        want = _ref_searchball(f, as_alpha(center, f.n), r)
+        assert got == (None if want is None else as_word(want, f.n))
 
     def test_complete_within_ball(self):
         # against direct enumeration of the ball
@@ -29,8 +103,8 @@ class TestSearchball:
             f = gen_random_kcnf(3, n, rng.randint(6, 5 * n), rng.randint(0, 10**6))
             center = {v: rng.randint(0, 1) for v in range(1, n + 1)}
             r = rng.randint(0, 3)
-            got = searchball(f, center, r)
             cw = as_word(center, n)
+            got = searchball(f, cw, r)
             exists = False
             for flips in range(r + 1):
                 for pos in combinations(range(n), flips):
@@ -45,8 +119,8 @@ class TestSearchball:
                     break
             assert (got is not None) == exists
             if got is not None:
-                assert satisfies(f, got)
-                assert hamming(as_word(got, n), cw) <= r
+                assert satisfies(f, as_alpha(got, n))
+                assert hamming(got, cw) <= r
 
 
 class TestDls:
@@ -58,6 +132,16 @@ class TestDls:
             assert (hit is not None) == (want is not None)
             if hit is not None:
                 assert satisfies(f, hit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cnf(min_width=0, max_n=9))
+    def test_verdict_matches_oracle_mixed_widths(self, f):
+        hit = dls(f)
+        want = brute_force_sat(f)
+        assert (hit is None) == (want is None)
+        if hit is not None:
+            assert sorted(hit) == list(range(1, f.n + 1))
+            verify_model(f, hit)
 
     def test_unsat_contradiction(self):
         pats = [(s1 * 1, s2 * 2, s3 * 3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
