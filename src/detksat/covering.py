@@ -4,18 +4,33 @@ Words are ints; bit i of a factor's word is coordinate i, and factors are
 packed low-to-high in factor order. Greedy set cover picks the center whose
 ball covers the most uncovered words (ties break to the smallest packed
 value); the marginal-coverage counts are computed for all candidates at once
-by an XOR correlation via the Walsh-Hadamard transform, which is exact in
-float64 at these sizes.
+by an XOR correlation via the Walsh-Hadamard transform. The transform is the
+constant-geometry form over two buffers: every stage reads adjacent pairs of
+one buffer and writes their sums and differences to the two halves of the
+other, so each stage is two whole-array operations and makes no temporaries.
+It is exact in float64: every intermediate value is an integer, a signed sum
+over part of the input, and by Cauchy-Schwarz and Parseval each is at most
+n * sqrt(|U| * V) for n = 2^width words, |U| uncovered words and a ball of V
+words. That is at most 2^48 at width 24, below 2^53.
+
+A code is a pure function of its shape, so ``cover_cube`` (keyed by width and
+radius) and ``ell_cover_spaces`` (keyed by the spaces' widths and words, k and
+lambda; variable names are left out) keep every code they build for the life
+of the process, and a batch of solves builds each code once. The memo is
+filled only by calls, never at import. Families are frozen, so a memoized
+family is the same for every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -118,13 +133,19 @@ class StructuredSpace:
         return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeFamily:
-    """Radius-indexed sets of centers jointly covering a space."""
+    """Radius-indexed sets of centers jointly covering a space.
+
+    Immutable: ``entries`` is a read-only copy of the mapping given.
+    """
 
     width: int
-    entries: dict[int, tuple[int, ...]]
+    entries: Mapping[int, tuple[int, ...]]
     description: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def radii(self) -> list[int]:
         return sorted(self.entries)
@@ -146,23 +167,33 @@ class CodeFamily:
 
 
 def _wht(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    h = 1
-    v = v.copy()
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(n)
-        h *= 2
-    return v
+    """Unnormalized Walsh-Hadamard transform of a 1-D float array whose
+    length is a power of two, in natural order.
+
+    Constant-geometry form: each stage writes the sums and the differences
+    of adjacent pairs to the two halves of the other buffer. ``v`` is one of
+    the two buffers and is overwritten; returns the buffer holding the
+    transform.
+    """
+    half = v.shape[0] >> 1
+    src, dst = v, np.empty_like(v)
+    for _ in range(v.shape[0].bit_length() - 1):
+        a, b = src[0::2], src[1::2]
+        np.add(a, b, out=dst[:half])
+        np.subtract(a, b, out=dst[half:])
+        src, dst = dst, src
+    return src
 
 
 def _xor_correlate(u: np.ndarray, ball_hat: np.ndarray) -> np.ndarray:
+    """out[c] = sum over x of u[x] * ball[x ^ c], given ball_hat = WHT(ball);
+    float64 holding exact integers."""
     n = u.shape[0]
-    return np.rint(_wht(_wht(u.astype(np.float64)) * ball_hat) / n).astype(np.int64)
+    v = _wht(u.astype(np.float64))
+    v *= ball_hat
+    v = _wht(v)
+    v /= n
+    return np.rint(v, out=v)
 
 
 def _popcounts(width: int) -> np.ndarray:
@@ -181,20 +212,20 @@ def _greedy_cover(
     Returns the chosen centers and the residual uncovered mask. Stops early
     when the budget is exhausted or no candidate makes progress.
     """
-    n = 1 << width
-    pops = _popcounts(width)
-    ball_hat = _wht((pops <= radius).astype(np.float64))
+    in_ball = _popcounts(width) <= radius
+    ball = np.flatnonzero(in_ball)
+    ball_hat = _wht(in_ball.astype(np.float64))
+    blocked = ~candidates
     uncovered = target.copy()
     centers: list[int] = []
-    idx = np.arange(n, dtype=np.int64)
     while uncovered.any() and (budget is None or len(centers) < budget):
-        counts = _xor_correlate(uncovered.astype(np.float64), ball_hat)
-        counts[~candidates] = -1
+        counts = _xor_correlate(uncovered, ball_hat)
+        counts[blocked] = -1
         c = int(np.argmax(counts))
         if counts[c] <= 0:
             break
         centers.append(c)
-        uncovered &= pops[idx ^ c] > radius
+        uncovered[ball ^ c] = False
     return centers, uncovered
 
 
@@ -202,8 +233,13 @@ def _greedy_cover(
 # constructions
 
 
+@functools.cache
 def cover_cube(width: int, radius: int) -> CodeFamily:
-    """Single-radius covering code for the full cube, greedy set cover."""
+    """Single-radius covering code for the full cube, greedy set cover.
+
+    Memoized per process by (width, radius); ``cover_cube.__wrapped__``
+    skips the memo for the call itself (blocks still go through it).
+    """
     if width < 0 or radius < 0:
         raise CoverError("negative width or radius")
     if width == 0:
@@ -233,9 +269,9 @@ def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
     for i in order[:short]:
         radii[i] += 1
     parts = [cover_cube(w, r) for w, r in zip(widths, radii)]
-    fam = product_code(parts)
-    fam.description = "cube width %d (blocks %s)" % (width, widths)
-    return fam
+    return replace(
+        product_code(parts), description="cube width %d (blocks %s)" % (width, widths)
+    )
 
 
 def product_code(codes: Sequence[CodeFamily]) -> CodeFamily:
@@ -282,20 +318,34 @@ def ell_cover_spaces(
     radius takes greedily chosen centers up to the size budget implied by
     lambda^-nu / (k-1)^r, and the final radius finishes the residual. The
     budgets are logged, never asserted.
+
+    Memoized per process by the spaces' (width, words), k and lambda: the
+    family does not depend on the variable names (``var_order``).
     """
-    nu = len(spaces)
+    return _ell_cover_shapes(tuple((s.width, s.words) for s in spaces), k, lam)
+
+
+# typed: a float lambda equal to a Fraction gives float size budgets, which
+# may round differently, so the two must not share a family
+@functools.lru_cache(maxsize=None, typed=True)
+def _ell_cover_shapes(
+    shapes: tuple[tuple[int, tuple[int, ...]], ...], k: int, lam: Fraction
+) -> CodeFamily:
+    """``ell_cover_spaces`` over (width, words) per space; memoized, and
+    ``_ell_cover_shapes.__wrapped__`` builds without the memo."""
+    nu = len(shapes)
     if nu == 0:
         raise CoverError("no spaces")
-    width = sum(s.width for s in spaces)
+    width = sum(w for w, _ in shapes)
     if width > POWER_WIDTH_LIMIT:
         raise CoverError("power space guard: width %d > %d" % (width, POWER_WIDTH_LIMIT))
     ell = ell_for(nu, k, lam)
     n = 1 << width
     member = np.zeros(n, dtype=bool)
     offs = [0]
-    for s in spaces[:-1]:
-        offs.append(offs[-1] + s.width)
-    for combo in iproduct(*[s.words for s in spaces]):
+    for w, _ in shapes[:-1]:
+        offs.append(offs[-1] + w)
+    for combo in iproduct(*[words for _, words in shapes]):
         word = 0
         for c, o in zip(combo, offs):
             word |= c << o

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .chains import Instance, canonical_zeta, group_by_type, solution_space, zeta
+from .chains import Instance, group_by_type, solution_space
 from .characteristic import characteristic_for_chain, lambda_for_zeta
 from .covering import (
     CubeFactor,
@@ -69,7 +69,6 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
 class DlsStats:
     balls_searched: int = 0
     code_sizes: dict[int, int] = field(default_factory=dict)
-    chain_groups: list[tuple[str, int]] = field(default_factory=list)
 
 
 def structured_space_for(f: Formula, inst: Instance) -> StructuredSpace:
@@ -124,9 +123,6 @@ def dls(
     family = build_generalized_code(space, Fraction(1, k), lams, k)
     if stats is not None:
         stats.code_sizes = {r: len(cs) for r, cs in family.entries.items()}
-        stats.chain_groups = [
-            (canonical_zeta(zeta(ch.clauses)), len(ch.clauses)) for ch in inst.chains
-        ]
     coord_vars = space.coordinate_variables()
     for r in family.radii():
         for center in family.entries[r]:

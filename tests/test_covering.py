@@ -1,9 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from detksat.chains import canonical_realization, solution_space
+from detksat import covering
+from detksat.chains import SolutionSpace, canonical_realization, solution_space
 from detksat.characteristic import lambda_for_zeta
 from detksat.covering import (
     CodeFamily,
@@ -29,6 +34,91 @@ def covers(family, words):
         ):
             return False
     return True
+
+
+def fresh(monkeypatch, name, *args):
+    """Call ``covering.<name>`` with every covering code built afresh."""
+    with monkeypatch.context() as m:
+        m.setattr(covering, "cover_cube", covering.cover_cube.__wrapped__)
+        m.setattr(covering, "_ell_cover_shapes", covering._ell_cover_shapes.__wrapped__)
+        return getattr(covering, name)(*args)
+
+
+def direct_wht(v):
+    """The O(n^2) transform: out[y] = sum over x of (-1)^popcount(x & y) v[x]."""
+    n = len(v)
+    x = np.arange(n)
+    parity = (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.float64)
+    return (1 - 2 * parity) @ v
+
+
+def brute_greedy(width, radius, target, candidates, budget):
+    """Greedy ball cover counting each ball by enumeration: the reference for
+    ``_greedy_cover``. The most uncovered words wins, ties to the smallest
+    center; stops on the budget or when no candidate covers a new word."""
+    n = 1 << width
+    uncovered = [bool(t) for t in target]
+    centers = []
+    while any(uncovered) and (budget is None or len(centers) < budget):
+        best, best_count = None, 0
+        for c in range(n):
+            if not candidates[c]:
+                continue
+            count = sum(
+                1 for x in range(n) if uncovered[x] and hamming(x, c) <= radius
+            )
+            if count > best_count:
+                best, best_count = c, count
+        if best is None:
+            break
+        centers.append(best)
+        for x in range(n):
+            if hamming(x, best) <= radius:
+                uncovered[x] = False
+    return centers, uncovered
+
+
+class TestWalshHadamard:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1, 2, 1000, 2**20]),
+    )
+    @example(width=0, seed=0, scale=1)
+    def test_matches_direct_transform(self, width, seed, scale):
+        n = 1 << width
+        v = np.random.default_rng(seed).integers(-scale, scale + 1, n).astype(np.float64)
+        expect = direct_wht(v)
+        assert np.array_equal(covering._wht(v), expect)
+
+
+class TestGreedyCover:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(0, 8),
+        radius=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+        target_p=st.sampled_from([0.1, 0.5, 1.0]),
+        candidate_p=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+        budget=st.none() | st.integers(0, 5),
+    )
+    @example(width=8, radius=2, seed=1, target_p=1.0, candidate_p=1.0, budget=None)
+    def test_matches_brute_force_greedy(
+        self, width, radius, seed, target_p, candidate_p, budget
+    ):
+        n = 1 << width
+        rng = np.random.default_rng(seed)
+        target = rng.random(n) < target_p
+        candidates = rng.random(n) < candidate_p
+        centers, uncovered = covering._greedy_cover(
+            width, radius, target, candidates, budget
+        )
+        expect_centers, expect_uncovered = brute_greedy(
+            width, radius, target, candidates, budget
+        )
+        assert centers == expect_centers
+        assert uncovered.tolist() == expect_uncovered
 
 
 class TestCoverCube:
@@ -62,9 +152,10 @@ class TestCoverCube:
         rep = verify_coverage(fam, space, samples=20000)
         assert rep.sampled and rep.ok
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
         a = cover_cube(9, 2)
-        b = cover_cube(9, 2)
+        b = fresh(monkeypatch, "cover_cube", 9, 2)
+        assert a is not b
         assert a.entries == b.entries
 
 
@@ -153,13 +244,70 @@ class TestGeneralized:
         with pytest.raises(CoverError):
             build_generalized_code(space, Fraction(1, 2), [], 3)
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
         sp = solution_space(canonical_realization("n*"))
         space = StructuredSpace((CubeFactor(5), PowerFactor((sp,))))
         lam = lambda_for_zeta("n*")
         a = build_generalized_code(space, Fraction(1, 3), [lam], 3)
-        b = build_generalized_code(space, Fraction(1, 3), [lam], 3)
+        b = fresh(monkeypatch, "build_generalized_code", space, Fraction(1, 3), [lam], 3)
         assert a.entries == b.entries
+
+
+class TestMemo:
+    def test_cube_hit_equals_fresh_build(self, monkeypatch):
+        for width, radius in ((9, 2), (12, 3), (26, 8)):
+            cached = cover_cube(width, radius)
+            assert cover_cube(width, radius) is cached
+            assert fresh(monkeypatch, "cover_cube", width, radius) == cached
+
+    def test_equal_blocks_built_once(self):
+        before = cover_cube.cache_info()
+        fam = cover_cube.__wrapped__(26, 8)
+        after = cover_cube.cache_info()
+        assert fam.description == "cube width 26 (blocks [13, 13])"
+        # two requests for the (13, 4) block, at most one of them a build
+        assert after.hits + after.misses == before.hits + before.misses + 2
+        assert after.hits >= before.hits + 1
+
+    def test_ell_hit_equals_fresh_build(self, monkeypatch):
+        sp = solution_space(canonical_realization("n*"))
+        lam = lambda_for_zeta("n*")
+        cached = ell_cover_spaces((sp, sp), 3, lam)
+        assert ell_cover_spaces((sp, sp), 3, lam) is cached
+        assert fresh(monkeypatch, "ell_cover_spaces", (sp, sp), 3, lam) == cached
+
+    def test_var_order_does_not_split_the_memo(self):
+        sp = solution_space(canonical_realization("*"))
+        moved = SolutionSpace(sp.words, tuple(v + 10 for v in sp.var_order))
+        lam = Fraction(3, 7)
+        assert ell_cover_spaces((sp,), 3, lam) is ell_cover_spaces((moved,), 3, lam)
+        assert ell_cover_spaces((sp, moved), 3, lam) is ell_cover_spaces((moved, sp), 3, lam)
+
+    def test_different_shapes_do_not_share(self, monkeypatch):
+        sp = solution_space(canonical_realization("*"))
+        lam = Fraction(3, 7)
+        base = ell_cover_spaces((sp,), 3, lam)
+        variants = [
+            ((SolutionSpace(sp.words[1:], sp.var_order),), 3, lam),  # words
+            ((SolutionSpace(sp.words, sp.var_order + (9,)),), 3, lam),  # width
+            ((sp, sp), 3, lam),  # number of spaces
+            ((sp,), 4, lam),  # k
+            ((sp,), 3, Fraction(2, 5)),  # lambda
+        ]
+        for args in variants:
+            fam = ell_cover_spaces(*args)
+            assert fam is not base
+            assert fam == fresh(monkeypatch, "ell_cover_spaces", *args)
+        assert cover_cube(9, 2) is not cover_cube(9, 3)
+        assert cover_cube(9, 2) is not cover_cube(10, 2)
+
+    def test_families_are_read_only(self):
+        fam = cover_cube(9, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.description = "changed"
+        with pytest.raises(TypeError):
+            fam.entries[2] = ()
+        assert cover_cube(9, 2).description == "cube width 9"
 
 
 class TestVerifier:
