@@ -7,7 +7,7 @@ condition Phi stops the recursion once the accumulated chains are worth more
 to the local search than to the branching.
 """
 
-from detksat import formula, procedure_p, tb_set
+from detksat import formula, member, procedure_p_tracked, tb_set
 from detksat.branching3 import Br3Stats, PhiConfig, br_3
 from detksat.chains import ChainVector, zeta
 from detksat.branching3 import condition_phi
@@ -16,15 +16,15 @@ from detksat.generator import gen_random_kcnf
 print("=== the derived-2-clause sets that drive everything ===")
 f = formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)])
 tb = tb_set(f, 1)
-print("propagating x1=1 turns (-1 3 4) into", [m.lits for m in tb.members])
+print("propagating x1=1 turns (-1 3 4) into", [member(f, tb, s).lits for s in tb.src])
 tb = tb_set(f, 2)
-print("propagating x2=1 derives nothing new:", tb.members, "-> x2=1 is autark")
+print("propagating x2=1 derives nothing new:", tb.src, "-> x2=1 is autark")
 
 print()
 print("=== simplification in action ===")
 g = formula(4, [(1, 2), (-1, 3, 4)])
 print("before:", [c.lits for c in g.clauses])
-print("after: ", [c.lits for c in procedure_p(g).clauses], "(autark committed x2=1)")
+print("after: ", [c.lits for c in procedure_p_tracked(g)[0].clauses], "(autark committed x2=1)")
 
 print()
 print("=== the termination condition's arithmetic ===")

@@ -5,13 +5,12 @@ __version__ = "0.1.0"
 
 from .bounds import BoundRow, balance_check, c3, ck_recurrence, degeneration_check
 from .branching3 import (
-    BranchNode,
     Br3Stats,
-    NEED_FRESH,
     PhiConfig,
     br_3,
     condition_phi,
-    procedure_p,
+    member,
+    procedure_p_tracked,
     rule_upsilon,
     tb_set,
 )
@@ -74,7 +73,7 @@ from .formula import (
     satisfies,
     serialize_dimacs,
     solve_2sat,
-    unit_propagate,
+    up_restrict,
 )
 from .generator import Lcg, gen_random_kcnf
 from .local_search import dls, searchball

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Container, Optional
 
 from .chains import (
     ChainVector,
@@ -35,7 +35,6 @@ from .formula import (
     propagate,
     restrict,
     solve_2sat,
-    unit_propagate_tracked,
     up_restrict,
     verify_model,
 )
@@ -65,23 +64,6 @@ class Seeds:
     seeds: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BranchNode:
-    """State consulted by the clause-choosing rule."""
-
-    pending: Optional[Seeds]
-    assigned: frozenset[int]
-
-
-class NeedFreshLiteral:
-    """Sentinel: no usable seeded clause; branch a fresh literal."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "NeedFreshLiteral"
-
-
-NEED_FRESH = NeedFreshLiteral()
-
 # joint satisfying patterns of (u or w) and (not-u or not-w or l3),
 # as literal-truth triples over (u, w, l3); the first two fan out over a
 # fresh literal downstream, giving the amortized 7 branches
@@ -90,10 +72,10 @@ BUNDLE_PATTERNS = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
 @dataclass(frozen=True)
 class TbResult:
-    """One probe: the member 2-clauses, their source indices in the probed
-    formula, the conflict flag and the propagation closure of the literal."""
+    """One probe: the source indices of its member 2-clauses in the probed
+    formula, the conflict flag and the propagation closure of the literal.
+    ``member`` builds a member clause from its source index."""
 
-    members: tuple[Clause, ...]
     src: tuple[int, ...]
     conflict: bool
     fixes: dict[int, int]
@@ -103,13 +85,14 @@ def tb_set(f: Formula, lit: int) -> TbResult:
     """2-clauses of UP(f | lit=1) descending from 3-clauses of f.
 
     The members are the 3-clauses of f that the closure shortens by exactly
-    one literal without satisfying them; the restricted formula is never
-    built (a caller that commits the probe runs ``up_restrict(f, fixes)``).
-    On a propagation conflict the member set is empty and the flag is set.
+    one literal without satisfying them, returned as their indices in f.
+    Neither the restricted formula nor a member clause is built (a caller
+    that commits the probe runs ``up_restrict(f, fixes)``). On a
+    propagation conflict the member set is empty and the flag is set.
     """
     fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
     if conflict:
-        return TbResult((), (), True, fixes)
+        return TbResult((), True, fixes)
     clauses, widths, occ = f.clauses, f.widths, f.occurrences
     src = []
     for v, b in fixes.items():
@@ -120,83 +103,72 @@ def tb_set(f: Formula, lit: int) -> TbResult:
                 if (abs(x) in fixes) + (abs(y) in fixes) + (abs(z) in fixes) == 1:
                     src.append(s)
     src.sort()
-    members = tuple(
-        Clause(tuple([l for l in clauses[s].lits if abs(l) not in fixes]), clauses[s].orig)
-        for s in src
-    )
-    return TbResult(members, tuple(src), False, fixes)
+    return TbResult(tuple(src), False, fixes)
+
+
+def member(f: Formula, tb: TbResult, s: int) -> Clause:
+    """The member 2-clause of probe ``tb`` of f that descends from clause s."""
+    c = f.clauses[s]
+    return Clause(tuple([l for l in c.lits if abs(l) not in tb.fixes]), c.orig)
 
 
 def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
     3-clause-to-2-clause replacement. Returns the formula and fixed variables."""
     fixes: dict[int, int] = {}
-    res = unit_propagate_tracked(f)
-    f = res.formula
-    fixes.update(res.fixes)
-    if res.conflict:
-        return f, fixes
     while True:
-        changed = False
+        up = up_restrict(f, {})
+        f = up.formula
+        fixes.update(up.fixes)
+        if up.conflict:
+            return f, fixes
         for c in f.clauses:
             if c.width != 2:
                 continue
             l1, l2 = c.lits
-            autark = None
             tb1 = tb_set(f, l1)
-            if not tb1.conflict and not tb1.members:
-                autark = tb1
-            else:
-                tb2 = tb_set(f, l2)
-                if not tb2.conflict and not tb2.members:
-                    autark = tb2
-            if autark is not None:
-                up = up_restrict(f, autark.fixes)
+            # l2 is probed only when l1 is no autark
+            tb2 = tb_set(f, l2) if tb1.conflict or tb1.src else tb1
+            if not tb2.conflict and not tb2.src:  # an autark: commit it
+                up = up_restrict(f, tb2.fixes)
                 f = up.formula
                 fixes.update(up.fixes)
-                changed = True
                 break
-            rep = None
-            if not tb1.conflict:
-                rep = next(((m, s) for m, s in zip(tb1.members, tb1.src) if l2 in m.lits), None)
-            if rep is None and not tb2.conflict:
-                rep = next(((m, s) for m, s in zip(tb2.members, tb2.src) if l1 in m.lits), None)
+            # a member of one probe that contains the other literal
+            rep = next(
+                (
+                    (tb, s)
+                    for tb, other in ((tb1, l2), (tb2, l1))
+                    for s in tb.src
+                    if other in f.clauses[s].lits and abs(other) not in tb.fixes
+                ),
+                None,
+            )
             if rep is not None:
-                m, s = rep
                 cls = list(f.clauses)
-                cls[s] = m
+                cls[rep[1]] = member(f, *rep)
                 f = Formula(f.n, tuple(cls))
-                changed = True
                 break
-        if not changed:
-            return f, fixes
-        res = unit_propagate_tracked(f)
-        f = res.formula
-        fixes.update(res.fixes)
-        if res.conflict:
+        else:
             return f, fixes
 
 
-def procedure_p(f: Formula) -> Formula:
-    return procedure_p_tracked(f)[0]
-
-
-def rule_upsilon(node: BranchNode):
-    """First usable seeded 2-clause, else the fresh-literal sentinel.
+def rule_upsilon(pending: Optional[Seeds], assigned: Container[int]) -> Optional[Clause]:
+    """First usable seeded 2-clause, or None: branch a fresh literal.
 
     Seeds are tried in clause order; a member is usable when both of its
     variables are still unassigned at the node.
     """
-    if node.pending is None:
-        return NEED_FRESH
-    for seed in node.pending.seeds:
-        tb = tb_set(node.pending.parent_formula, seed)
-        if tb.conflict:
-            continue
-        for m in tb.members:
-            if abs(m.lits[0]) not in node.assigned and abs(m.lits[1]) not in node.assigned:
+    if pending is None:
+        return None
+    f = pending.parent_formula
+    for seed in pending.seeds:
+        tb = tb_set(f, seed)
+        for s in tb.src:
+            m = member(f, tb, s)
+            if abs(m.lits[0]) not in assigned and abs(m.lits[1]) not in assigned:
                 return m
-    return NEED_FRESH
+    return None
 
 
 def condition_phi(vec: ChainVector, n: int, cfg: PhiConfig) -> bool:
@@ -309,9 +281,9 @@ class _Search:
             closed2 = closed + (self._close(open_origs, open_syms, True),)
             return self.node(f, alpha, closed2, (), (), None, depth, path_splits, 1)
 
-        sel = rule_upsilon(BranchNode(pending, frozenset(alpha)))
-        if isinstance(sel, NeedFreshLiteral):
-            if pending is not None and self._pending_conflicts(f, pending):
+        sel = rule_upsilon(pending, alpha)
+        if sel is None:
+            if pending is not None and self._pending_conflicts(pending):
                 return self._leaf(Outcome.unsat())
             if open_origs:
                 closed2 = closed + (self._close(open_origs, open_syms, True),)
@@ -346,7 +318,7 @@ class _Search:
             f, alpha, closed, open_origs, open_syms, sel, depth, path_splits
         )
 
-    def _pending_conflicts(self, f: Formula, pending: Seeds) -> bool:
+    def _pending_conflicts(self, pending: Seeds) -> bool:
         """True when every seed's propagation in the parent conflicts.
 
         A conflicting seed is a unit consequence against this branch, so the
@@ -364,12 +336,12 @@ class _Search:
             return None
         u, w = sel.lits
         tbu = tb_set(f, u)
-        if tbu.conflict or not tbu.members:
+        if not tbu.src:
             return None
-        m0 = tbu.members[0]
-        if -u in m0.orig and -w in m0.orig:
-            l3 = next(l for l in m0.orig if abs(l) not in (abs(u), abs(w)))
-            return (m0, l3)
+        orig = f.clauses[tbu.src[0]].orig
+        if -u in orig and -w in orig:
+            l3 = next(l for l in orig if abs(l) not in (abs(u), abs(w)))
+            return (orig, l3)
         return None
 
     def _branch_plain(
@@ -400,8 +372,8 @@ class _Search:
     def _branch_bundle(
         self, f, alpha, closed, open_origs, open_syms, sel, bundle, depth, path_splits
     ) -> Outcome:
-        m0, l3 = bundle
-        open_origs = open_origs + (Clause(m0.orig, m0.orig),)
+        orig, l3 = bundle
+        open_origs = open_origs + (Clause(orig, orig),)
         open_syms = open_syms + ("t",)
         u, w = sel.lits
         v3 = abs(l3)
@@ -464,9 +436,9 @@ class _Search:
             return self._leaf(Outcome.unsat())
         if tb1.conflict:
             forced = tb0
-        elif tb0.conflict or not tb1.members:
+        elif tb0.conflict or not tb1.src:
             forced = tb1
-        elif not tb0.members:
+        elif not tb0.src:
             forced = tb0
         else:
             forced = None

@@ -305,15 +305,15 @@ class Table2Error(AssertionError):
 def reproduce_table2() -> list[ChainTypeRecord]:
     """Solve the LP for all 38 reference types and check against the table.
 
-    Raises Table2Error with an itemized diff on any mismatch.
+    Each lambda comes from ``lambda_for_zeta``, so a process solves each type
+    once. Raises Table2Error with an itemized diff on any mismatch.
     """
     from .table_data import REFERENCE_CHAIN_TYPES
 
     records: list[ChainTypeRecord] = []
     problems: list[str] = []
     for type_id, z, r2, lam_str, f_prefix in REFERENCE_CHAIN_TYPES:
-        chain = canonical_realization(z)
-        lam = solve_characteristic(solution_space(chain), 3).lam
+        lam = lambda_for_zeta(z)
         expected = Fraction(lam_str)
         if lam != expected:
             problems.append(

@@ -172,7 +172,11 @@ def _cmd_chain_table(args) -> int:
 def _cmd_cover(args) -> int:
     try:
         if args.cube is not None:
-            rho = Fraction(args.rho)
+            try:
+                rho = Fraction(args.rho)
+            except (ValueError, ZeroDivisionError):
+                print("error: --rho: not a fraction: %r" % args.rho, file=sys.stderr)
+                return EXIT_ERROR
             if not (0 < rho < Fraction(1, 2)):
                 print("error: rho must lie in (0, 1/2)", file=sys.stderr)
                 return EXIT_ERROR

@@ -28,9 +28,9 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,17 @@ EXHAUSTIVE_VERIFY_LIMIT = 20
 
 class CoverError(ValueError):
     pass
+
+
+def pack_words(parts: Sequence[tuple[int, Sequence[int]]]) -> Iterator[int]:
+    """Every word of a product of (width, words) parts, one word per part,
+    packed low-to-high in part order; the last part varies fastest.
+
+    A part's words fit in its width, so the shifted fields are disjoint and
+    their sum is their bitwise OR.
+    """
+    offs = accumulate((w for w, _ in parts), initial=0)
+    return map(sum, iproduct(*[[c << o for c in words] for (_, words), o in zip(parts, offs)]))
 
 
 @dataclass(frozen=True)
@@ -86,37 +97,18 @@ class StructuredSpace:
                     n *= len(s.words)
         return n
 
-    def factor_word_lists(self) -> list[tuple[int, ...]]:
-        """Per packed sub-factor (cube, then each chain space), its word set."""
-        out: list[tuple[int, ...]] = []
+    def factor_parts(self) -> list[tuple[int, Sequence[int]]]:
+        """(width, words) per packed sub-factor: a cube, or one chain space."""
+        out: list[tuple[int, Sequence[int]]] = []
         for f in self.factors:
             if isinstance(f, CubeFactor):
-                out.append(tuple(range(1 << f.width)))
+                out.append((f.width, range(1 << f.width)))
             else:
-                for s in f.spaces:
-                    out.append(s.words)
-        return out
-
-    def factor_widths(self) -> list[int]:
-        out: list[int] = []
-        for f in self.factors:
-            if isinstance(f, CubeFactor):
-                out.append(f.width)
-            else:
-                out.extend(s.width for s in f.spaces)
+                out.extend((s.width, s.words) for s in f.spaces)
         return out
 
     def enumerate_words(self) -> Iterable[int]:
-        lists = self.factor_word_lists()
-        widths = self.factor_widths()
-        offs = [0]
-        for w in widths[:-1]:
-            offs.append(offs[-1] + w)
-        for combo in iproduct(*lists):
-            word = 0
-            for c, o in zip(combo, offs):
-                word |= c << o
-            yield word
+        return pack_words(self.factor_parts())
 
     def coordinate_variables(self) -> tuple[Optional[int], ...]:
         """Bit position -> variable index (None when the factor is abstract)."""
@@ -278,25 +270,17 @@ def product_code(codes: Sequence[CodeFamily]) -> CodeFamily:
     """Concatenate single-radius codes; radius adds, sizes multiply."""
     if not codes:
         raise CoverError("empty product")
-    lists: list[tuple[int, ...]] = []
+    parts = []
     total_r = 0
-    offs: list[int] = []
-    off = 0
     for fam in codes:
         rs = fam.radii()
         if len(rs) != 1:
             raise CoverError("product_code expects single-radius inputs")
         total_r += rs[0]
-        lists.append(fam.entries[rs[0]])
-        offs.append(off)
-        off += fam.width
-    centers = []
-    for combo in iproduct(*lists):
-        word = 0
-        for c, o in zip(combo, offs):
-            word |= c << o
-        centers.append(word)
-    return CodeFamily(off, {total_r: tuple(centers)}, "product of %d codes" % len(codes))
+        parts.append((fam.width, fam.entries[rs[0]]))
+    width = sum(w for w, _ in parts)
+    centers = tuple(pack_words(parts))
+    return CodeFamily(width, {total_r: centers}, "product of %d codes" % len(codes))
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
@@ -336,19 +320,15 @@ def _ell_cover_shapes(
     nu = len(shapes)
     if nu == 0:
         raise CoverError("no spaces")
+    if k < 3:
+        raise CoverError("k must be >= 3")
     width = sum(w for w, _ in shapes)
     if width > POWER_WIDTH_LIMIT:
         raise CoverError("power space guard: width %d > %d" % (width, POWER_WIDTH_LIMIT))
     ell = ell_for(nu, k, lam)
     n = 1 << width
     member = np.zeros(n, dtype=bool)
-    offs = [0]
-    for w, _ in shapes[:-1]:
-        offs.append(offs[-1] + w)
-    for combo in iproduct(*[words for _, words in shapes]):
-        word = 0
-        for c, o in zip(combo, offs):
-            word |= c << o
+    for word in pack_words(shapes):
         member[word] = True
     uncovered = member.copy()
     entries: dict[int, tuple[int, ...]] = {}
@@ -474,15 +454,12 @@ def _sample_words(space: StructuredSpace, samples: int, seed: int) -> np.ndarray
     from .generator import Lcg
 
     rng = Lcg(seed)
-    lists = space.factor_word_lists()
-    widths = space.factor_widths()
-    offs = [0]
-    for w in widths[:-1]:
-        offs.append(offs[-1] + w)
+    parts = space.factor_parts()
+    offs = list(accumulate((w for w, _ in parts), initial=0))
     out = np.empty(samples, dtype=np.int64)
     for i in range(samples):
         word = 0
-        for ws, o in zip(lists, offs):
+        for (_, ws), o in zip(parts, offs):
             word |= ws[rng.below(len(ws))] << o
         out[i] = word
     return out

@@ -6,8 +6,8 @@ descends from; restriction and unit propagation preserve that reference.
 A zero-literal clause is the falsified clause (bottom).
 
 Unit propagation computes the closure of an assignment over per-literal
-occurrence lists (``propagate``) and restricts the formula once at the end,
-so probing a literal builds no clauses.
+occurrence lists (``propagate``, which builds no clauses); ``up_restrict``
+then restricts the formula once by the closure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 
 class DimacsError(ValueError):
     """Malformed DIMACS input; message carries the offending line number."""
-
-
-def var_of(lit: int) -> int:
-    return abs(lit)
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,6 @@ def clause(lits: Iterable[int], orig: Optional[Iterable[int]] = None) -> Clause:
     return Clause(lits, tuple(orig) if orig is not None else lits)
 
 
-BOTTOM = Clause((), ())
-
-
 @dataclass(frozen=True)
 class Formula:
     """A CNF over variables 1..n with clauses in a fixed order."""
@@ -73,15 +66,6 @@ class Formula:
     @property
     def has_bottom(self) -> bool:
         return 0 in self.widths
-
-    def three_clauses(self) -> list[Clause]:
-        return [c for c in self.clauses if c.width == 3]
-
-    def two_clauses(self) -> list[Clause]:
-        return [c for c in self.clauses if c.width == 2]
-
-    def unit_clauses(self) -> list[Clause]:
-        return [c for c in self.clauses if c.width == 1]
 
     def variables(self) -> set[int]:
         out: set[int] = set()
@@ -213,11 +197,13 @@ def serialize_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _restrict(f: Formula, alpha: Mapping[int, int]) -> tuple[tuple[Clause, ...], tuple[int, ...]]:
-    """Clauses of f | alpha in input order, each with the index of its source."""
+def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
+    """Fix variables per alpha: drop satisfied clauses, strip false literals.
+
+    A fully falsified clause becomes bottom. Original forms are preserved.
+    """
     out: list[Clause] = []
-    src: list[int] = []
-    for i, c in enumerate(f.clauses):
+    for c in f.clauses:
         sat = False
         lits: list[int] = []
         for l in c.lits:
@@ -230,16 +216,7 @@ def _restrict(f: Formula, alpha: Mapping[int, int]) -> tuple[tuple[Clause, ...],
                 lits.append(l)
         if not sat:
             out.append(c if len(lits) == len(c.lits) else Clause(tuple(lits), c.orig))
-            src.append(i)
-    return tuple(out), tuple(src)
-
-
-def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
-    """Fix variables per alpha: drop satisfied clauses, strip false literals.
-
-    A fully falsified clause becomes bottom. Original forms are preserved.
-    """
-    return Formula(f.n, _restrict(f, alpha)[0])
+    return Formula(f.n, tuple(out))
 
 
 def _first_falsified(f: Formula, alpha: Mapping[int, int]) -> Optional[int]:
@@ -313,27 +290,17 @@ class UpResult:
     formula: Formula
     fixes: dict[int, int]
     conflict: bool
-    # per surviving clause, index of its ancestor in the input formula
-    src: tuple[int, ...] = ()
 
 
 def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
-    """UP(f | alpha) with ancestry indices relative to f and all fixes recorded."""
+    """UP(f | alpha): the restricted formula, every fix (alpha first) and
+    whether a clause was falsified. ``up_restrict(f, {})`` propagates f's
+    own unit clauses."""
     fixes, conflict = propagate(f, alpha)
     if not fixes:
         # nothing to restrict: keep f, and with it its occurrence index
-        return UpResult(f, fixes, conflict, tuple(range(len(f.clauses))))
-    cls, src = _restrict(f, fixes)
-    return UpResult(Formula(f.n, cls), fixes, conflict, src)
-
-
-def unit_propagate_tracked(f: Formula) -> UpResult:
-    return up_restrict(f, {})
-
-
-def unit_propagate(f: Formula) -> Formula:
-    """Run unit propagation until no 1-clause remains (or bottom appears)."""
-    return up_restrict(f, {}).formula
+        return UpResult(f, fixes, conflict)
+    return UpResult(restrict(f, fixes), fixes, conflict)
 
 
 # ---------------------------------------------------------------------------

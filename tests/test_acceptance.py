@@ -8,7 +8,8 @@ import time
 from fractions import Fraction
 
 from detksat.bounds import balance_check, c3, ck_recurrence, degeneration_check, round_up
-from detksat.branching3 import Br3Stats, PhiConfig, br_3, procedure_p, tb_set
+from detksat import characteristic
+from detksat.branching3 import Br3Stats, PhiConfig, br_3, member, procedure_p_tracked, tb_set
 from detksat.branching_k import solve_ksat
 from detksat.chains import build_chain, canonical_realization, solution_space
 from detksat.characteristic import (
@@ -37,6 +38,7 @@ def _line(num, ok, detail=""):
 
 
 def test_criterion_01_characteristic_values_exact():
+    characteristic._LAMBDA_CACHE.clear()  # time a cold table
     t0 = time.time()
     try:
         records = reproduce_table2()
@@ -219,7 +221,7 @@ def test_criterion_08_simplification_rules():
         while checked < 1000:
             n = rng.randint(4, 12)
             f = gen_random_kcnf(3, n, rng.randint(4, 5 * n), rng.randint(0, 10**7))
-            g = procedure_p(f)
+            g = procedure_p_tracked(f)[0]
             assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
             if not g.has_bottom:
                 for c in g.clauses:
@@ -229,8 +231,8 @@ def test_criterion_08_simplification_rules():
                     for a, b in ((l1, l2), (l2, l1)):
                         tb = tb_set(g, a)
                         if not tb.conflict:
-                            assert tb.members, (c.lits, a)
-                            assert all(b not in m.lits for m in tb.members)
+                            assert tb.src, (c.lits, a)
+                            assert all(b not in member(g, tb, s).lits for s in tb.src)
             checked += 1
     except Exception:
         _line(8, False)

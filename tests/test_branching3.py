@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from detksat.branching3 import (
     BUNDLE_PATTERNS,
     Br3Stats,
-    BranchNode,
-    NeedFreshLiteral,
     PhiConfig,
     Seeds,
     br_3,
     condition_phi,
-    procedure_p,
+    member,
     procedure_p_tracked,
     rule_upsilon,
     tb_set,
@@ -25,7 +23,6 @@ from detksat.formula import (
     brute_force_sat,
     formula,
     satisfies,
-    unit_propagate_tracked,
     up_restrict,
 )
 from detksat.generator import gen_random_kcnf
@@ -40,33 +37,33 @@ class TestTbSet:
         f = formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)])
         tb = tb_set(f, 1)
         assert not tb.conflict
-        assert [m.lits for m in tb.members] == [(3, 4)]
-        assert tb.members[0].orig == (-1, 3, 4)
+        assert [member(f, tb, s).lits for s in tb.src] == [(3, 4)]
+        assert member(f, tb, tb.src[0]).orig == (-1, 3, 4)
         assert tb.src == (1,)
         assert tb.fixes == {1: 1}
 
     def test_autark_case(self):
         f = formula(4, [(1, 2), (-1, 3, 4)])
         tb = tb_set(f, 2)
-        assert not tb.conflict and tb.members == ()
+        assert not tb.conflict and tb.src == ()
         assert lits(up_restrict(f, tb.fixes).formula) == [(-1, 3, 4)]
 
     def test_conflict_flag(self):
         f = formula(2, [(1,), (-1,)])
         tb = tb_set(f, 2)
-        assert tb.conflict and tb.members == ()
+        assert tb.conflict and tb.src == ()
 
 
 class TestProcedureP:
     def test_autark_simplification(self):
         f = formula(4, [(1, 2), (-1, 3, 4)])
-        assert lits(procedure_p(f)) == [(-1, 3, 4)]
+        assert lits(procedure_p_tracked(f)[0]) == [(-1, 3, 4)]
 
     def test_autark_priority_over_replacement(self):
         # x2=1 satisfies both clauses, so the autark case fires and wipes
         # the formula entirely
         f = formula(3, [(1, 2), (-1, 2, 3)])
-        assert procedure_p(f).clauses == ()
+        assert procedure_p_tracked(f)[0].clauses == ()
 
     def test_replacement_when_no_autark(self):
         # neither literal of (x1 v x2) is autark at first; propagating x1=1
@@ -78,10 +75,30 @@ class TestProcedureP:
         assert fixes == {1: 1, 3: 1}
         assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
 
+    def test_replacement_member_from_second_probe(self):
+        # propagating x1=1 derives only (4 5); propagating x2=1 derives
+        # (1 3) from (-2 1 3), which contains x1 and replaces that clause
+        f = formula(7, [(1, 2), (-1, 4, 5), (-2, 1, 3), (-3, 6, 7), (-4, -5, 6)])
+        g, fixes = procedure_p_tracked(f)
+        assert [(c.lits, c.orig) for c in g.clauses] == [
+            ((-1, 4, 5), (-1, 4, 5)),
+            ((1, 3), (-2, 1, 3)),
+            ((-3, 6, 7), (-3, 6, 7)),
+            ((-4, -5, 6), (-4, -5, 6)),
+        ]
+        assert fixes == {2: 1}
+
+    def test_no_replacement_by_a_fixed_other_literal(self):
+        # propagating x1=1 also fixes x2=0, so the member (3 4) of (2 3 4)
+        # no longer contains x2 and nothing is replaced
+        f = formula(6, [(1, 2), (-1, -2), (2, 3, 4), (-2, 5, 6)])
+        g, fixes = procedure_p_tracked(f)
+        assert g == f and fixes == {}
+
     def test_fixpoint_input(self):
         f = formula(8, [(1, 2), (-1, 3, 4), (-2, 5, 6), (-3, 7, 8)])
-        g = procedure_p(f)
-        assert lits(g) == lits(procedure_p(g))
+        g = procedure_p_tracked(f)[0]
+        assert lits(g) == lits(procedure_p_tracked(g)[0])
 
     def test_preserves_satisfiability_and_postcondition(self):
         rng = random.Random(31)
@@ -89,7 +106,7 @@ class TestProcedureP:
         while checked < 1000:
             n = rng.randint(4, 12)
             f = gen_random_kcnf(3, n, rng.randint(4, 5 * n), rng.randint(0, 10**7))
-            g = procedure_p(f)
+            g = procedure_p_tracked(f)[0]
             assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
             if not g.has_bottom:
                 self._assert_postcondition(g)
@@ -108,28 +125,25 @@ class TestProcedureP:
                 tb = tb_set(g, a)
                 if tb.conflict:
                     continue
-                assert tb.members, (c, a)
-                assert all(b not in m.lits for m in tb.members)
+                assert tb.src, (c, a)
+                assert all(b not in member(g, tb, s).lits for s in tb.src)
 
 
 class TestRuleUpsilon:
     def test_seeded_selection(self):
         f = formula(7, [(1, 2), (-1, 3, 4), (-3, 5, 6)])
-        node = BranchNode(Seeds(f, (1,)), frozenset({1, 2}))
-        got = rule_upsilon(node)
+        got = rule_upsilon(Seeds(f, (1,)), {1, 2})
         assert got.lits == (3, 4)
 
     def test_root_needs_fresh(self):
         f = formula(3, [(1, 2, 3)])
-        node = BranchNode(None, frozenset())
-        assert isinstance(rule_upsilon(node), NeedFreshLiteral)
+        assert rule_upsilon(None, set()) is None
 
     def test_viability_skips_assigned_members(self):
         # the first member's variables are burned by the branch; the next
         # viable member is returned instead
         f = formula(8, [(1, 2), (-1, 2, 3), (-1, 4, 5)])
-        node = BranchNode(Seeds(f, (1,)), frozenset({1, 2}))
-        got = rule_upsilon(node)
+        got = rule_upsilon(Seeds(f, (1,)), {1, 2})
         assert got.lits == (4, 5)
 
 
@@ -365,10 +379,9 @@ class TestPropagationMatchesRescan:
     @given(_cnf_and_alpha())
     def test_up_restrict_and_unit_propagate(self, case):
         f, alpha = case
-        for got, want in ((up_restrict(f, alpha), _ref_up(f, alpha)), (unit_propagate_tracked(f), _ref_up(f, {}))):
+        for got, want in ((up_restrict(f, alpha), _ref_up(f, alpha)), (up_restrict(f, {}), _ref_up(f, {}))):
             cls, src, fixes, conflict = want
             assert _shape(got.formula.clauses) == _shape(cls)
-            assert list(got.src) == src
             assert list(got.fixes.items()) == list(fixes.items())
             assert got.conflict == conflict
 
@@ -384,7 +397,7 @@ class TestPropagationMatchesRescan:
             for lit in sorted({l for c in h.clauses for l in c.lits}):
                 tb = tb_set(h, lit)
                 members, src, conflict, fx = _ref_tb(h, lit)
-                assert _shape(tb.members) == _shape(members)
+                assert _shape([member(h, tb, s) for s in tb.src]) == _shape(members)
                 assert list(tb.src) == src
                 assert tb.conflict == conflict
                 assert list(tb.fixes.items()) == list(fx.items())

@@ -157,6 +157,16 @@ class TestCover:
     def test_rho_rejected(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/2"]) == 1
 
+    @pytest.mark.parametrize("rho", ["1/0", "abc"])
+    def test_rho_not_a_fraction_exit_1(self, rho, capsys):
+        assert main(["cover", "--cube", "4", "--rho", rho]) == 1
+        assert capsys.readouterr().err.startswith("error: --rho")
+
+    @pytest.mark.parametrize("k", ["2", "1"])
+    def test_k_below_3_exit_1(self, k, capsys):
+        assert main(["cover", "--zeta", "*", "--k", k]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 3\n"
+
     def test_dump(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/3", "--dump"]) == 0
         out = capsys.readouterr().out

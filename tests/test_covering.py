@@ -21,6 +21,7 @@ from detksat.covering import (
     ell_cover_power,
     ell_cover_spaces,
     ell_for,
+    pack_words,
     product_code,
     verify_coverage,
 )
@@ -206,6 +207,12 @@ class TestEllFamily:
         fam = ell_cover_spaces((sp,), 3, Fraction(3, 7))
         assert len(fam.entries.get(0, ())) <= len(sp.words)
 
+    @pytest.mark.parametrize("k", [2, 1, 0])
+    def test_k_below_3_rejected(self, k):
+        sp = solution_space(canonical_realization("*"))
+        with pytest.raises(CoverError, match="k must be >= 3"):
+            ell_cover_spaces((sp,), k, Fraction(3, 7))
+
     def test_centers_inside_space(self):
         sp = solution_space(canonical_realization("t*"))
         fam = ell_cover_power(sp, 1, 3, Fraction(15, 46))
@@ -310,7 +317,35 @@ class TestMemo:
         assert cover_cube(9, 2).description == "cube width 9"
 
 
+class TestPackWords:
+    def test_matches_nested_loops(self):
+        parts = [(2, (0, 3)), (0, (0,)), (3, (1, 4, 7)), (1, range(2))]
+        want = [
+            a | (c << 2) | (d << 5)
+            for a in (0, 3)
+            for c in (1, 4, 7)
+            for d in (0, 1)
+        ]
+        assert list(pack_words(parts)) == want
+
+    def test_empty_product_is_one_word(self):
+        assert list(pack_words([])) == [0]
+
+    def test_space_words_follow_factor_parts(self):
+        sp = solution_space(canonical_realization("*"))
+        space = StructuredSpace((CubeFactor(2), PowerFactor((sp, sp))))
+        assert space.factor_parts() == [(2, range(4)), (3, sp.words), (3, sp.words)]
+        assert list(space.enumerate_words()) == list(pack_words(space.factor_parts()))
+        assert len(set(space.enumerate_words())) == space.count_words()
+
+
 class TestVerifier:
+    def test_sampled_wide_cube(self):
+        # sampling draws cube words by index, never listing all 2^30 of them
+        fam = CodeFamily(30, {30: (0,)})
+        rep = verify_coverage(fam, StructuredSpace((CubeFactor(30),)), samples=50)
+        assert rep.ok and rep.sampled and rep.checked == 50
+
     def test_detects_gap(self):
         fam = CodeFamily(3, {0: (0,)})
         space = StructuredSpace((CubeFactor(3),))

@@ -1,0 +1,28 @@
+"""Smoke test: the fast demos run to completion against the current API.
+
+``reproduce_tables.py`` solves the whole chain-type table and is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["branching_anatomy.py", "covering_codes.py", "solve_walkthrough.py"])
+def test_demo_exits_0(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout

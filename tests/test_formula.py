@@ -14,7 +14,7 @@ from detksat.formula import (
     satisfies,
     serialize_dimacs,
     solve_2sat,
-    unit_propagate,
+    up_restrict,
     verify_model,
 )
 from detksat.generator import gen_random_kcnf
@@ -115,15 +115,15 @@ class TestVerifyModel:
 class TestUnitPropagation:
     def test_two_step(self):
         f = formula(4, [(1,), (-1, 2), (-2, 3, 4)])
-        assert lits(unit_propagate(f)) == [(3, 4)]
+        assert lits(up_restrict(f, {}).formula) == [(3, 4)]
 
     def test_conflict(self):
         f = formula(1, [(1,), (-1,)])
-        assert unit_propagate(f).has_bottom
+        assert up_restrict(f, {}).formula.has_bottom
 
     def test_fixpoint(self):
         f = formula(3, [(1, 2, 3)])
-        assert lits(unit_propagate(f)) == [(1, 2, 3)]
+        assert lits(up_restrict(f, {}).formula) == [(1, 2, 3)]
 
     def test_preserves_satisfiability(self):
         rng = random.Random(11)
@@ -135,7 +135,7 @@ class TestUnitPropagation:
                 u = rng.randint(1, n) * rng.choice((1, -1))
                 f = formula(n, [c.lits for c in f.clauses] + [(u,)])
             a = brute_force_sat(f)
-            b = brute_force_sat(unit_propagate(f))
+            b = brute_force_sat(up_restrict(f, {}).formula)
             assert (a is None) == (b is None)
 
 
