@@ -115,13 +115,14 @@ def member(f: Formula, tb: TbResult, s: int) -> Clause:
 def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
     3-clause-to-2-clause replacement. Returns the formula and fixed variables."""
-    fixes: dict[int, int] = {}
+    up = up_restrict(f, {})
+    f, fixes = up.formula, up.fixes
+    if up.conflict:
+        return f, fixes
+    # propagated once: neither step below leaves a unit clause, since a
+    # commit restricts by a complete, conflict-free closure and a
+    # replacement adds a 2-clause
     while True:
-        up = up_restrict(f, {})
-        f = up.formula
-        fixes.update(up.fixes)
-        if up.conflict:
-            return f, fixes
         for c in f.clauses:
             if c.width != 2:
                 continue

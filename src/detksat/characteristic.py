@@ -8,10 +8,11 @@ For a solution space A and width parameter k, the characteristic pair
     pi(a) >= 0
 
 Equivalently M y = 1 with M[a*,a] = (1/(k-1))^d(a,a*), lambda = 1/sum(y) and
-pi = lambda * y. Small systems are eliminated directly over Fractions; large
-ones are solved modulo word-size primes, CRT-combined and rationally
-reconstructed. Either way the result is verified exactly (integer arithmetic,
-tensor-structured matrix-vector product), so the output is certified.
+pi = lambda * y. The system is solved modulo word-size primes; after each
+prime the residues are CRT-combined and rationally reconstructed, and the
+first reconstruction that verifies exactly (integer arithmetic,
+tensor-structured matrix-vector product) is the result, so the output is
+certified.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .chains import (
 from .formula import hamming
 
 SPACE_LIMIT = 4096
-DENSE_LIMIT = 96
+DENSE_LIMIT = 0  # every solve is modular; bench/tracer.py reads the name
 
 # primes just below 2**31; residue products stay inside int64
 _PRIMES = (
@@ -121,32 +122,6 @@ def _rational_reconstruct(c: int, m: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _solve_dense(words: Sequence[int], k: int) -> list[Fraction]:
-    n = len(words)
-    x = Fraction(1, k - 1)
-    rows = [
-        [x ** hamming(wi, wj) for wj in words] + [Fraction(1)] for wi in words
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise CharacteristicError("singular system (column %d)" % col)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    y = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = rows[i][n]
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * y[j]
-        y[i] = acc
-    return y
-
-
 def _verify_exact(words: Sequence[int], width: int, k: int, y: list[Fraction]) -> bool:
     """Check M y = 1 exactly. Tensor contraction over the ambient cube."""
     den = 1
@@ -186,12 +161,7 @@ def solve_characteristic(space: SolutionSpace, k: int) -> Characteristic:
         raise CharacteristicError("k must be >= 3")
     if n > SPACE_LIMIT:
         raise CharacteristicError("space guard: %d words > %d" % (n, SPACE_LIMIT))
-    if n <= DENSE_LIMIT:
-        y = _solve_dense(words, k)
-    else:
-        y = _solve_modular(words, space.width, k)
-    if not _verify_exact(words, space.width, k, y):
-        raise CharacteristicError("solution failed exact verification")
+    y = _solve_modular(words, space.width, k)
     total = sum(y, Fraction(0))
     if total <= 0:
         raise CharacteristicError("non-positive normalisation sum")
@@ -206,6 +176,8 @@ def solve_characteristic(space: SolutionSpace, k: int) -> Characteristic:
 
 
 def _solve_modular(words: Sequence[int], width: int, k: int) -> list[Fraction]:
+    """y with M y = 1: the residues of one more prime at a time are CRT-combined
+    and reconstructed until a reconstruction verifies exactly."""
     dmat = _popcount_matrix(words)
     n = len(words)
     residues: list[np.ndarray] = []
@@ -221,8 +193,6 @@ def _solve_modular(words: Sequence[int], width: int, k: int) -> list[Fraction]:
             continue
         residues.append(res)
         primes.append(p)
-        if len(primes) < 2:
-            continue
         y = _combine(residues, primes, n)
         if y is not None and _verify_exact(words, width, k, y):
             return y

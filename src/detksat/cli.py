@@ -40,7 +40,7 @@ from .formula import (
 )
 from .generator import gen_random_kcnf
 from .local_search import dls
-from .characteristic import lambda_for_zeta
+from .characteristic import characteristic_for_chain, lambda_for_zeta
 from .chains import solution_space
 
 EXIT_SAT = 10
@@ -187,7 +187,12 @@ def _cmd_cover(args) -> int:
         elif args.zeta is not None:
             chain = canonical_realization(args.zeta)
             sp = solution_space(chain)
-            lam = lambda_for_zeta(args.zeta)
+            # as the local search reads it: the k = 3 memo only at k = 3
+            lam = (
+                lambda_for_zeta(args.zeta)
+                if args.k == 3
+                else characteristic_for_chain(chain, args.k).lam
+            )
             fam = ell_cover_spaces((sp,) * args.nu, args.k, lam)
             space = StructuredSpace((PowerFactor((sp,) * args.nu),))
         else:

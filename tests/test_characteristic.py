@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from detksat import characteristic
 from detksat.chains import (
+    SolutionSpace,
     build_chain,
     canonical_realization,
     solution_space,
@@ -10,8 +12,6 @@ from detksat.chains import (
 from detksat.characteristic import (
     CharacteristicError,
     F1,
-    _solve_dense,
-    _solve_modular,
     closed_form_1chain,
     f_raw,
     lambda_for_zeta,
@@ -19,10 +19,39 @@ from detksat.characteristic import (
     solve_characteristic,
 )
 from detksat.formula import clause
+from detksat.table_data import REFERENCE_CHAIN_TYPES
 
 
 def one_chain_space(k):
     return solution_space(build_chain([clause(tuple(range(1, k + 1)))], k))
+
+
+def reference_characteristic(space, k):
+    """(lambda, pi) by Gaussian elimination of M y = 1 over Fractions: an
+    oracle independent of the modular solver, for small spaces only."""
+    words = space.words
+    n = len(words)
+    x = Fraction(1, k - 1)
+    rows = [[x ** (wi ^ wj).bit_count() for wj in words] + [Fraction(1)] for wi in words]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(col + 1, n):
+            f = rows[r][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    y = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = rows[i][n] - sum(rows[i][j] * y[j] for j in range(i + 1, n))
+    lam = 1 / sum(y)
+    return lam, {w: v * lam for w, v in zip(words, y)}
+
+
+def agrees_with_reference(space, k):
+    ch = solve_characteristic(space, k)
+    return (ch.lam, ch.pi) == reference_characteristic(space, k)
 
 
 class TestSolve:
@@ -69,10 +98,79 @@ class TestSolve:
 
     def test_modular_agrees_with_dense(self):
         for z in ("n*", "t*", "nn*"):
-            sp = solution_space(canonical_realization(z))
-            dense = _solve_dense(sp.words, 3)
-            modular = _solve_modular(sp.words, sp.width, 3)
-            assert dense == modular
+            assert agrees_with_reference(solution_space(canonical_realization(z)), 3)
+        small = [
+            sp
+            for _, z, *_ in REFERENCE_CHAIN_TYPES
+            if len(sp := solution_space(canonical_realization(z))) <= 45
+        ]
+        assert len(small) == 6
+        for k in (3, 4, 5):
+            for sp in small:
+                assert agrees_with_reference(sp, k)
+
+
+class TestModularPaths:
+    """The paths that the first 31-bit prime alone never reaches on the
+    reference types: CRT over several primes, a singular prime, a
+    reconstruction that fails verification, and a negative pi."""
+
+    SPACE = solution_space(canonical_realization("nt*"))  # denominators up to 135
+
+    def test_one_small_prime_cannot_reconstruct(self, monkeypatch):
+        for p in (211, 223):
+            monkeypatch.setattr(characteristic, "_PRIMES", (p,))
+            with pytest.raises(CharacteristicError, match="reconstruction failed"):
+                solve_characteristic(self.SPACE, 3)
+
+    def test_crt_of_two_small_primes(self, monkeypatch):
+        # 211 * 223 = 47053 bounds the reconstruction by isqrt(47053 // 2) = 153
+        monkeypatch.setattr(characteristic, "_PRIMES", (211, 223))
+        assert agrees_with_reference(self.SPACE, 3)
+
+    def test_crt_after_a_prime_too_small(self, monkeypatch):
+        monkeypatch.setattr(characteristic, "_PRIMES", (10007,) + characteristic._PRIMES)
+        assert agrees_with_reference(self.SPACE, 3)
+
+    def _singular_for(self, monkeypatch, count):
+        real = characteristic._solve_mod_prime
+        bad = characteristic._PRIMES[:count]
+
+        def solve(dmat, k, p):
+            if p in bad:
+                raise characteristic._SingularModP(0)
+            return real(dmat, k, p)
+
+        monkeypatch.setattr(characteristic, "_solve_mod_prime", solve)
+
+    def test_singular_prime_skipped(self, monkeypatch):
+        self._singular_for(monkeypatch, 2)
+        assert agrees_with_reference(self.SPACE, 3)
+
+    def test_three_singular_primes_raise(self, monkeypatch):
+        self._singular_for(monkeypatch, 3)
+        with pytest.raises(CharacteristicError, match="singular"):
+            solve_characteristic(self.SPACE, 3)
+
+    def test_unverified_reconstruction_rejected(self, monkeypatch):
+        real = characteristic._combine
+        calls = []
+
+        def combine(residues, primes, n):
+            y = real(residues, primes, n)
+            calls.append(len(primes))
+            return [y[0] + 1] + y[1:] if len(primes) == 1 else y
+
+        monkeypatch.setattr(characteristic, "_combine", combine)
+        assert agrees_with_reference(self.SPACE, 3)
+        assert calls == [1, 2]
+
+    def test_negative_pi_rejected(self):
+        # M y = 1 has the solution y[12] = -2/27 on this 7-word space
+        space = SolutionSpace((2, 4, 8, 12, 13, 14, 15), (1, 2, 3, 4))
+        assert reference_characteristic(space, 3)[1][12] < 0
+        with pytest.raises(CharacteristicError, match="negative pi"):
+            solve_characteristic(space, 3)
 
 
 class TestClosedForm:

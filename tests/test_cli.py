@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from detksat.cli import main
+from detksat.covering import ell_cover_spaces
 from detksat.formula import parse_dimacs
 
 
@@ -153,6 +155,21 @@ class TestCover:
         assert "ell=4" in out  # radius bound for the 1-chain squared
         assert "49 words" in out
         assert "verified" in out
+
+    def test_zeta_lambda_at_k4(self, monkeypatch, capsys):
+        import detksat.cli as cli
+
+        # the k = 4 value of the 3-clause 1-chain, not the k = 3 value 3/7
+        seen = []
+
+        def spy(spaces, k, lam):
+            seen.append((k, lam))
+            return ell_cover_spaces(spaces, k, lam)
+
+        monkeypatch.setattr(cli, "ell_cover_spaces", spy)
+        assert main(["cover", "--zeta", "*", "--k", "4"]) == 0
+        assert seen == [(4, Fraction(4, 13))]
+        assert "ell=3" in capsys.readouterr().out
 
     def test_rho_rejected(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/2"]) == 1
