@@ -14,7 +14,7 @@ from detksat import (
     build_generalized_code,
     canonical_realization,
     cover_cube,
-    ell_cover_power,
+    ell_cover_spaces,
     lambda_for_zeta,
     solution_space,
     verify_coverage,
@@ -30,7 +30,7 @@ print()
 print("=== radius-indexed family for the squared 1-chain space ===")
 one_chain = solution_space(canonical_realization("*"))
 lam = lambda_for_zeta("*")
-fam = ell_cover_power(one_chain, 2, 3, lam)
+fam = ell_cover_spaces((one_chain, one_chain), 3, lam)
 print("characteristic value:", lam, "| radius bound in description:", fam.description)
 for r in fam.radii():
     print("  radius %d: %d centers" % (r, len(fam.entries[r])))

@@ -56,7 +56,6 @@ from .covering import (
     StructuredSpace,
     build_generalized_code,
     cover_cube,
-    ell_cover_power,
     ell_cover_spaces,
     product_code,
     verify_coverage,

@@ -45,13 +45,15 @@ def _default_c3() -> float:
     return 3.0 ** (math.log2(4 / 3) / math.log2(64 / 21))
 
 
+# the longest open chain: at this many clauses it is closed
+TAU_CAP = 6
+
+
 @dataclass(frozen=True)
 class PhiConfig:
-    """Targeted base c for the termination condition, plus chain policy."""
+    """Targeted base c for the termination condition."""
 
     c: float = _default_c3()
-    f_threshold: float = F1
-    tau_cap: int = 6
 
     def __post_init__(self) -> None:
         if not self.c > 1:  # also rejects NaN
@@ -226,7 +228,7 @@ class _Search:
     def _rule2_fires(self, open_syms) -> bool:
         z = "".join(open_syms) + "*"
         lam = lambda_for_zeta(z)
-        return f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= self.cfg.f_threshold
+        return f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= F1
 
     def _leaf(self, outcome: Outcome) -> Outcome:
         self.stats.leaves += 1
@@ -278,7 +280,7 @@ class _Search:
                 return self._leaf(Outcome.unsat())
             total = {**m, **alpha}
             return self._leaf(Outcome.sat(total))
-        if open_origs and (len(open_origs) >= self.cfg.tau_cap or self._rule2_fires(open_syms)):
+        if open_origs and (len(open_origs) >= TAU_CAP or self._rule2_fires(open_syms)):
             closed2 = closed + (self._close(open_origs, open_syms, True),)
             return self.node(f, alpha, closed2, (), (), None, depth, path_splits, 1)
 
@@ -333,7 +335,7 @@ class _Search:
         return not saw_ok
 
     def _bundle_member(self, f: Formula, sel: Clause, open_len: int):
-        if open_len + 1 > self.cfg.tau_cap:
+        if open_len + 1 > TAU_CAP:
             return None
         u, w = sel.lits
         tbu = tb_set(f, u)

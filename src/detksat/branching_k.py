@@ -10,6 +10,7 @@ width <= 2 to the polynomial 2-SAT decision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
@@ -26,20 +27,14 @@ from .outcomes import Outcome
 class KSatConfig:
     k: int
     nu: float
-    c_prev: float
 
 
-_CONFIG_CACHE: dict[int, KSatConfig] = {}
-
-
+@functools.cache
 def ksat_config(k: int) -> KSatConfig:
     """Threshold fraction for width k, seeded from the 3-SAT base."""
     if k < 4:
         raise ValueError("configs exist for k >= 4")
-    if k not in _CONFIG_CACHE:
-        rows = {r.k: r for r in ck_recurrence(k)}
-        _CONFIG_CACHE[k] = KSatConfig(k, rows[k].nu, rows[k - 1].ck)
-    return _CONFIG_CACHE[k]
+    return KSatConfig(k, ck_recurrence(k)[-1].nu)
 
 
 def greedy_maximal_1chains(f: Formula) -> Instance:

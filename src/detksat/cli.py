@@ -19,7 +19,7 @@ from . import __version__
 from .bounds import ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
-from .chains import canonical_realization, group_by_type
+from .chains import canonical_realization, group_by_type, solution_space
 from .characteristic import Table2Error, reproduce_table2
 from .covering import (
     CoverError,
@@ -39,9 +39,7 @@ from .formula import (
     verify_model,
 )
 from .generator import gen_random_kcnf
-from .local_search import dls
-from .characteristic import characteristic_for_chain, lambda_for_zeta
-from .chains import solution_space
+from .local_search import dls, group_lambda
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -71,9 +69,9 @@ def _report(verdict, assignment, path, stats: SolveStats, extra=None):
 
 def _cmd_solve(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             f = parse_dimacs(fh.read())
-    except (OSError, DimacsError) as e:
+    except (OSError, UnicodeDecodeError, DimacsError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -148,7 +146,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rows = ck_recurrence(args.kmax)
+    try:
+        rows = ck_recurrence(args.kmax)
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
     print("k\tc\tnu")
     for r in rows:
         print("%d\t%.5f\t%.6f" % (r.k, round_up(r.ck), r.nu))
@@ -187,12 +189,7 @@ def _cmd_cover(args) -> int:
         elif args.zeta is not None:
             chain = canonical_realization(args.zeta)
             sp = solution_space(chain)
-            # as the local search reads it: the k = 3 memo only at k = 3
-            lam = (
-                lambda_for_zeta(args.zeta)
-                if args.k == 3
-                else characteristic_for_chain(chain, args.k).lam
-            )
+            lam = group_lambda(args.zeta, chain, args.k)
             fam = ell_cover_spaces((sp,) * args.nu, args.k, lam)
             space = StructuredSpace((PowerFactor((sp,) * args.nu),))
         else:

@@ -42,6 +42,7 @@ DIRECT_CUBE_LIMIT = 24
 BLOCK_WIDTH = 20
 POWER_WIDTH_LIMIT = 22
 EXHAUSTIVE_VERIFY_LIMIT = 20
+VERIFY_SEED = 12345
 
 
 class CoverError(ValueError):
@@ -266,31 +267,31 @@ def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
     )
 
 
-def product_code(codes: Sequence[CodeFamily]) -> CodeFamily:
-    """Concatenate single-radius codes; radius adds, sizes multiply."""
-    if not codes:
+def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
+    """Radius-summing product of families.
+
+    Every choice of one radius per family (skipping a choice with an empty
+    entry) packs its centers, and files them under the sum of the radii;
+    each radius keeps a center once, in first-seen order. Single-radius
+    codes give one radius, with sizes multiplying.
+    """
+    if not families:
         raise CoverError("empty product")
-    parts = []
-    total_r = 0
-    for fam in codes:
-        rs = fam.radii()
-        if len(rs) != 1:
-            raise CoverError("product_code expects single-radius inputs")
-        total_r += rs[0]
-        parts.append((fam.width, fam.entries[rs[0]]))
-    width = sum(w for w, _ in parts)
-    centers = tuple(pack_words(parts))
-    return CodeFamily(width, {total_r: centers}, "product of %d codes" % len(codes))
+    entries: dict[int, dict[int, None]] = {}
+    for combo in iproduct(*(fam.radii() for fam in families)):
+        parts = [(fam.width, fam.entries[r]) for fam, r in zip(families, combo)]
+        if all(words for _, words in parts):
+            entries.setdefault(sum(combo), {}).update(dict.fromkeys(pack_words(parts)))
+    return CodeFamily(
+        sum(fam.width for fam in families),
+        {r: tuple(cs) for r, cs in entries.items()},
+        "product of %d codes" % len(families),
+    )
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
     """floor(-nu * log_{k-1}(lambda) + 2)."""
     return math.floor(-nu * math.log(lam) / math.log(k - 1) + 2)
-
-
-def ell_cover_power(space: SolutionSpace, nu: int, k: int, lam: Fraction) -> CodeFamily:
-    """Radius-indexed family jointly covering the nu-fold power of a space."""
-    return ell_cover_spaces((space,) * nu, k, lam)
 
 
 def ell_cover_spaces(
@@ -358,8 +359,8 @@ def build_generalized_code(
     k: int,
 ) -> CodeFamily:
     """Family for a cube-times-chains space: cube covered at ceil(rho*n'),
-    each chain-group by its ell-family, all combined as product codes over
-    every radius combination."""
+    each chain-group by its ell-family, combined by the radius-summing
+    ``product_code``."""
     if not (0 < rho < Fraction(1, 2)):
         raise CoverError("rho must lie in (0, 1/2)")
     cube_widths = [f.width for f in space.factors if isinstance(f, CubeFactor)]
@@ -369,42 +370,16 @@ def build_generalized_code(
     if len(powers) != len(lams):
         raise CoverError("need one characteristic value per chain factor")
 
-    part_families: list[CodeFamily] = []
-    power_pos = 0
+    lam_iter = iter(lams)
+    families: list[CodeFamily] = []
     for f in space.factors:
-        if isinstance(f, CubeFactor):
-            if f.width == 0:
-                continue
-            r0 = math.ceil(rho * f.width)
-            part_families.append(cover_cube(f.width, r0))
-        else:
-            part_families.append(ell_cover_spaces(f.spaces, k, lams[power_pos]))
-            power_pos += 1
-    if not part_families:
-        raise CoverError("empty space")
-
-    entries: dict[int, list[int]] = {}
-    seen: dict[int, set[int]] = {}
-    radius_choices = [fam.radii() for fam in part_families]
-    for combo in iproduct(*radius_choices):
-        parts = [
-            CodeFamily(fam.width, {r: fam.entries[r]})
-            for fam, r in zip(part_families, combo)
-        ]
-        if any(not p.entries[r] for p, r in zip(parts, combo)):
-            continue
-        prod = product_code(parts)
-        r_total = sum(combo)
-        bucket = entries.setdefault(r_total, [])
-        dedupe = seen.setdefault(r_total, set())
-        for c in prod.entries[r_total]:
-            if c not in dedupe:
-                dedupe.add(c)
-                bucket.append(c)
-    return CodeFamily(
-        space.width,
-        {r: tuple(cs) for r, cs in entries.items()},
-        "generalized family over width %d" % space.width,
+        if isinstance(f, PowerFactor):
+            families.append(ell_cover_spaces(f.spaces, k, next(lam_iter)))
+        elif f.width:
+            families.append(cover_cube(f.width, math.ceil(rho * f.width)))
+    return replace(
+        product_code(families),
+        description="generalized family over width %d" % space.width,
     )
 
 
@@ -420,23 +395,18 @@ class CoverageReport:
     uncovered_example: Optional[int] = None
     sizes: dict[int, int] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_coverage(
     family: CodeFamily,
     space: StructuredSpace,
-    exhaustive_limit: int = EXHAUSTIVE_VERIFY_LIMIT,
     samples: int = 100_000,
-    seed: int = 12345,
 ) -> CoverageReport:
     """Check every (or, above the width limit, sampled) space word is within
     some entry's radius of one of its centers. Independent of construction."""
     sizes = {r: len(cs) for r, cs in family.entries.items()}
-    sampled = space.width > exhaustive_limit
+    sampled = space.width > EXHAUSTIVE_VERIFY_LIMIT
     if sampled:
-        words = _sample_words(space, samples, seed)
+        words = _sample_words(space, samples)
     else:
         words = np.fromiter(space.enumerate_words(), dtype=np.int64)
     covered = np.zeros(words.shape, dtype=bool)
@@ -450,10 +420,10 @@ def verify_coverage(
     return CoverageReport(ok, len(words), sampled, example, sizes)
 
 
-def _sample_words(space: StructuredSpace, samples: int, seed: int) -> np.ndarray:
+def _sample_words(space: StructuredSpace, samples: int) -> np.ndarray:
     from .generator import Lcg
 
-    rng = Lcg(seed)
+    rng = Lcg(VERIFY_SEED)
     parts = space.factor_parts()
     offs = list(accumulate((w for w, _ in parts), initial=0))
     out = np.empty(samples, dtype=np.int64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .chains import Instance, group_by_type, solution_space
+from .chains import Chain, Instance, group_by_type, solution_space
 from .characteristic import characteristic_for_chain, lambda_for_zeta
 from .covering import (
     CubeFactor,
@@ -71,24 +71,25 @@ class DlsStats:
     code_sizes: dict[int, int] = field(default_factory=dict)
 
 
-def structured_space_for(f: Formula, inst: Instance) -> StructuredSpace:
-    """Free-variable cube times one power factor per chain-isomorphism group."""
+def group_lambda(key: str, chain: Chain, k: int) -> Fraction:
+    """The characteristic value of a chain group of type ``key``: the
+    per-type k = 3 memo at k = 3, an exact solve of ``chain`` at any other k."""
+    return lambda_for_zeta(key) if k == 3 else characteristic_for_chain(chain, k).lam
+
+
+def structured_space_for(
+    f: Formula, inst: Instance, k: int
+) -> tuple[StructuredSpace, list[Fraction]]:
+    """Free-variable cube times one power factor per chain-isomorphism group,
+    and the group's characteristic value at width k, in group order."""
     used = inst.variables()
     free = tuple(v for v in range(1, f.n + 1) if v not in used)
-    factors: list = []
-    if free:
-        factors.append(CubeFactor(len(free), free))
-    for group in group_by_type(inst.chains).values():
+    factors: list = [CubeFactor(len(free), free)] if free else []
+    lams: list[Fraction] = []
+    for key, group in group_by_type(inst.chains).items():
         factors.append(PowerFactor(tuple(solution_space(ch) for ch in group)))
-    return StructuredSpace(tuple(factors))
-
-
-def _group_lambdas(f: Formula, inst: Instance, k: int) -> list[Fraction]:
-    """One characteristic value per chain group, in group order."""
-    return [
-        lambda_for_zeta(key) if k == 3 else characteristic_for_chain(group[0], k).lam
-        for key, group in group_by_type(inst.chains).items()
-    ]
+        lams.append(group_lambda(key, group[0], k))
+    return StructuredSpace(tuple(factors)), lams
 
 
 def _validate_instance_clauses(f: Formula, inst: Instance) -> None:
@@ -114,12 +115,11 @@ def dls(
     inst = inst if inst is not None else Instance(())
     _validate_instance_clauses(f, inst)
     k = max(3, f.width())
-    space = structured_space_for(f, inst)
+    space, lams = structured_space_for(f, inst, k)
     if space.width == 0:
         # no variables at all: the empty assignment decides it
         alpha = {v: 0 for v in range(1, f.n + 1)}
         return alpha if satisfies(f, alpha) else None
-    lams = _group_lambdas(f, inst, k)
     family = build_generalized_code(space, Fraction(1, k), lams, k)
     if stats is not None:
         stats.code_sizes = {r: len(cs) for r, cs in family.entries.items()}

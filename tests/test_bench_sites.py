@@ -1,0 +1,24 @@
+"""The benchmark tracer wraps library functions by name; a rename that drops
+one would silently zero its per-layer metrics."""
+
+from pathlib import Path
+
+from detksat import local_search
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_sites_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    original = local_search.structured_space_for
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert local_search.structured_space_for is not original
+    finally:
+        tracer.uninstall()
+    assert local_search.structured_space_for is original
+    # deleted with procedure P's second copy; its span reads 0
+    assert tracer.missing == ["detksat.branching3.unit_propagate_tracked"]

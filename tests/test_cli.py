@@ -49,6 +49,12 @@ class TestSolve:
         code = main(["solve", sat_file, "--mode", "br"])
         assert code in (0, 10)
 
+    def test_not_utf8_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "latin.cnf"
+        p.write_bytes(b"p cnf 2 1\n1 \xff 0\n")
+        assert main(["solve", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.cnf"
         p.write_text("p cnf 1 1\n1 -1 0\n")
@@ -132,6 +138,11 @@ class TestTables:
         out = capsys.readouterr().out
         for frag in ("1.32793", "1.49857", "1.59946", "1.66646"):
             assert frag in out
+
+    @pytest.mark.parametrize("kmax", ["2", "13"])
+    def test_bounds_kmax_out_of_range_exit_1(self, kmax, capsys):
+        assert main(["bounds", "--kmax", kmax]) == 1
+        assert capsys.readouterr().err.startswith("error: kmax")
 
     def test_chain_table_exact(self, capsys):
         assert main(["chain-table", "--exact"]) == 0

@@ -18,7 +18,6 @@ from detksat.covering import (
     StructuredSpace,
     build_generalized_code,
     cover_cube,
-    ell_cover_power,
     ell_cover_spaces,
     ell_for,
     pack_words,
@@ -160,7 +159,43 @@ class TestCoverCube:
         assert a.entries == b.entries
 
 
+@st.composite
+def _families(draw):
+    """A small multi-radius family; entries may be empty."""
+    width = draw(st.integers(1, 3))
+    radii = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    words = st.integers(0, (1 << width) - 1)
+    return CodeFamily(
+        width, {r: tuple(draw(st.lists(words, max_size=3, unique=True))) for r in radii}
+    )
+
+
+def covered_at(fam, r):
+    """Words within radius r of a center of the radius-r entry."""
+    return [
+        w for w in range(1 << fam.width) if any(hamming(w, c) <= r for c in fam.entries[r])
+    ]
+
+
 class TestProductCode:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_families(), b=_families())
+    @example(a=CodeFamily(2, {0: (1, 2), 1: ()}), b=CodeFamily(1, {0: (0, 1), 2: (0,)}))
+    def test_radius_summing_product(self, a, b):
+        prod = product_code([a, b])
+        assert prod.width == a.width + b.width
+        combos = [(ra, rb) for ra in a.radii() for rb in b.radii()]
+        assert set(prod.radii()) == {
+            ra + rb for ra, rb in combos if a.entries[ra] and b.entries[rb]
+        }
+        for r in prod.radii():
+            assert len(set(prod.entries[r])) == len(prod.entries[r])
+        for ra, rb in combos:
+            for x in covered_at(a, ra):
+                for y in covered_at(b, rb):
+                    word = x | (y << a.width)
+                    assert any(hamming(word, c) <= ra + rb for c in prod.entries[ra + rb])
+
     def test_example(self):
         c1 = CodeFamily(1, {1: (0,)})
         c2 = CodeFamily(2, {1: (0b00, 0b11)})
@@ -181,10 +216,6 @@ class TestProductCode:
         assert prod.radii() == [0]
         assert set(prod.entries[0]) == {0, 1, 2, 3}
 
-    def test_multi_radius_rejected(self):
-        with pytest.raises(CoverError):
-            product_code([CodeFamily(1, {0: (0,), 1: (0,)})])
-
 
 class TestEllFamily:
     def test_ell_formula(self):
@@ -192,14 +223,14 @@ class TestEllFamily:
 
     def test_1chain_power2(self):
         sp = solution_space(canonical_realization("*"))
-        fam = ell_cover_power(sp, 2, 3, Fraction(3, 7))
+        fam = ell_cover_spaces((sp, sp), 3, Fraction(3, 7))
         words = [a | (b << 3) for a in sp.words for b in sp.words]
         assert len(words) == 49
         assert covers(fam, words)
 
     def test_single_ball_degenerate(self):
         sp = solution_space(canonical_realization("*"))
-        fam = ell_cover_power(sp, 1, 3, Fraction(3, 7))
+        fam = ell_cover_spaces((sp,), 3, Fraction(3, 7))
         assert covers(fam, sp.words)
 
     def test_radius0_no_worse_than_space(self):
@@ -215,7 +246,7 @@ class TestEllFamily:
 
     def test_centers_inside_space(self):
         sp = solution_space(canonical_realization("t*"))
-        fam = ell_cover_power(sp, 1, 3, Fraction(15, 46))
+        fam = ell_cover_spaces((sp,), 3, Fraction(15, 46))
         member = set(sp.words)
         for r in fam.radii():
             assert set(fam.entries[r]) <= member

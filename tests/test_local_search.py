@@ -150,19 +150,21 @@ class TestDls:
 
     def test_chain_centers_respect_solution_space(self):
         # instance holding one 1-chain: no center assigns the excluded word
-        f = formula(6, [(1, 2, 3), (4, 5, 6)])
-        inst = build_instance([build_chain([f.clauses[0]], 3)])
-        space = structured_space_for(f, inst)
-        from detksat.characteristic import lambda_for_zeta
+        from detksat.characteristic import characteristic_for_chain, lambda_for_zeta
         from detksat.covering import build_generalized_code
         from fractions import Fraction
 
-        fam = build_generalized_code(space, Fraction(1, 3), [lambda_for_zeta("*")], 3)
-        coord = space.coordinate_variables()
-        pos = {v: i for i, v in enumerate(coord)}
-        for r in fam.radii():
-            for c in fam.entries[r]:
-                assert any((c >> pos[v]) & 1 for v in (1, 2, 3))
+        f = formula(6, [(1, 2, 3), (4, 5, 6)])
+        chain = build_chain([f.clauses[0]], 3)
+        wants = {3: lambda_for_zeta("*"), 4: characteristic_for_chain(chain, 4).lam}
+        for k, want in wants.items():
+            space, lams = structured_space_for(f, build_instance([chain]), k)
+            assert lams == [want]
+            fam = build_generalized_code(space, Fraction(1, k), lams, k)
+            pos = {v: i for i, v in enumerate(space.coordinate_variables())}
+            for r in fam.radii():
+                for c in fam.entries[r]:
+                    assert any((c >> pos[v]) & 1 for v in (1, 2, 3))
 
     def test_with_nonempty_instance(self):
         rng = random.Random(23)
