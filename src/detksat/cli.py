@@ -138,8 +138,12 @@ def _cmd_gen(args) -> int:
         return EXIT_ERROR
     text = serialize_dimacs(f)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print("error: --out: %s" % e, file=sys.stderr)
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return 0
@@ -186,15 +190,12 @@ def _cmd_cover(args) -> int:
 
             fam = cover_cube(args.cube, math.ceil(rho * args.cube))
             space = StructuredSpace((CubeFactor(args.cube),))
-        elif args.zeta is not None:
+        else:
             chain = canonical_realization(args.zeta)
             sp = solution_space(chain)
             lam = group_lambda(args.zeta, chain, args.k)
             fam = ell_cover_spaces((sp,) * args.nu, args.k, lam)
             space = StructuredSpace((PowerFactor((sp,) * args.nu),))
-        else:
-            print("error: need --cube or --zeta", file=sys.stderr)
-            return EXIT_ERROR
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
@@ -211,8 +212,17 @@ def _cmd_cover(args) -> int:
     return 0 if rep.ok else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2 (a table mismatch
+    here). Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, "%s: error: %s\n" % (self.prog, message))
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="detksat", description=__doc__)
+    ap = _Parser(prog="detksat", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -240,9 +250,10 @@ def main(argv=None) -> int:
     t.set_defaults(fn=_cmd_chain_table)
 
     c = sub.add_parser("cover", help="build and verify covering codes")
-    c.add_argument("--cube", type=int, default=None)
+    shape = c.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--cube", type=int, default=None)
+    shape.add_argument("--zeta", default=None)
     c.add_argument("--rho", default="1/3")
-    c.add_argument("--zeta", default=None)
     c.add_argument("--nu", type=int, default=1)
     c.add_argument("--k", type=int, default=3)
     c.add_argument("--dump", action="store_true")

@@ -4,7 +4,9 @@ Words are ints; bit i of a factor's word is coordinate i, and factors are
 packed low-to-high in factor order. Greedy set cover picks the center whose
 ball covers the most uncovered words (ties break to the smallest packed
 value); the marginal-coverage counts are computed for all candidates at once
-by an XOR correlation via the Walsh-Hadamard transform. The transform is the
+by an XOR correlation via the Walsh-Hadamard transform. At radius 0 a ball is
+its center, so the picks are the uncovered candidates in ascending order and
+need no transform. The transform is the
 constant-geometry form over two buffers: every stage reads adjacent pairs of
 one buffer and writes their sums and differences to the two halves of the
 other, so each stage is two whole-array operations and makes no temporaries.
@@ -204,7 +206,16 @@ def _greedy_cover(
 
     Returns the chosen centers and the residual uncovered mask. Stops early
     when the budget is exhausted or no candidate makes progress.
+
+    At radius 0 a ball is its center, so the greedy pick is always the
+    smallest uncovered candidate: the level takes them in ascending order
+    without a transform.
     """
+    if radius == 0:
+        picked = np.flatnonzero(target & candidates)[:budget]
+        uncovered = target.copy()
+        uncovered[picked] = False
+        return picked.tolist(), uncovered
     in_ball = _popcounts(width) <= radius
     ball = np.flatnonzero(in_ball)
     ball_hat = _wht(in_ball.astype(np.float64))

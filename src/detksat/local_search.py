@@ -5,7 +5,9 @@ searchball branches on the literals of the first unsatisfied clause with a
 shrinking flip budget; it finds a satisfying assignment within Hamming
 distance r of the start iff one exists. Its state is an assignment word, and
 the unsatisfied clauses of a word are one bitset taken from the formula's
-per-byte tables (``Formula.byte_sat_tables``). dls builds the generalized
+per-byte tables (``Formula.byte_sat_tables``), and a word whose sub-ball was
+already searched with at least the same budget and found empty is not
+expanded again. dls builds the generalized
 covering family for the formula's structured space (free-variable cube times
 chain solution spaces) and runs searchball from every center, ascending by
 radius.
@@ -35,6 +37,12 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
     branches the first unsatisfied clause in clause order, setting its
     literals true in clause order, one unit of budget per flip. Returns the
     first satisfying word found, or None if the ball holds none.
+
+    A sub-ball found empty is not searched again: a word reached a second
+    time (by flips in another order) with the same or a smaller budget is
+    cut off at once. The search is complete, so a cut subtree holds no
+    satisfying word and the first hit is the one the uncut search finds.
+    The table of empty sub-balls lives for one call.
     """
     if f.has_bottom:
         raise ValueError("bottom clause present")
@@ -43,6 +51,10 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
     clauses = f.clauses
     full = (1 << len(clauses)) - 1
     tables = f.byte_sat_tables
+
+    # word -> largest budget whose sub-ball around it was searched and found
+    # empty; a smaller ball around the same word is a subset, so it is empty too
+    empty: dict[int, int] = {}
 
     def rec(w: int, budget: int) -> Optional[int]:
         sat = 0
@@ -53,13 +65,14 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
         unsat = full & ~sat
         if not unsat:
             return w
-        if budget == 0:
+        if budget == 0 or empty.get(w, 0) >= budget:
             return None
         for l in clauses[(unsat & -unsat).bit_length() - 1].lits:
             bit = 1 << (abs(l) - 1)
             hit = rec(w | bit if l > 0 else w & ~bit, budget - 1)
             if hit is not None:
                 return hit
+        empty[w] = budget
         return None
 
     return rec(center, r)

@@ -131,6 +131,43 @@ class TestGen:
     def test_k_exceeds_n(self, capsys):
         assert main(["gen", "--k", "5", "--n", "3", "--m", "1"]) == 1
 
+    def test_out_directory_missing_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.cnf"
+        assert main(["gen", "--k", "3", "--n", "5", "--m", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out: ")
+        assert not out.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--bogus"],
+            ["cover"],
+            ["solve"],
+            ["gen", "--k", "three", "--n", "5", "--m", "3"],
+            ["frobnicate"],
+        ],
+    )
+    def test_usage_error_exit_1(self, argv, capsys):
+        # 2 is the table-mismatch code, not argparse's usage code
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+
+    def test_cube_and_zeta_rejected_together(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["cover", "--cube", "5", "--zeta", "*"])
+        assert e.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --zeta: not allowed with argument --cube" in captured.err
+
 
 class TestTables:
     def test_bounds_rows(self, capsys):

@@ -120,6 +120,22 @@ class TestGreedyCover:
         assert centers == expect_centers
         assert uncovered.tolist() == expect_uncovered
 
+    def test_radius0_runs_no_transform(self, monkeypatch):
+        calls = []
+        wht = covering._wht
+
+        def counting_wht(v):
+            calls.append(v.shape[0])
+            return wht(v)
+
+        monkeypatch.setattr(covering, "_wht", counting_wht)
+        target = np.ones(256, dtype=bool)
+        centers, uncovered = covering._greedy_cover(8, 0, target, target, 5)
+        assert calls == []
+        assert centers == [0, 1, 2, 3, 4] and int(uncovered.sum()) == 251
+        covering._greedy_cover(8, 1, target, target, 1)
+        assert calls  # the counter sees the transforms of radius 1
+
 
 class TestCoverCube:
     def test_width4_radius2(self):

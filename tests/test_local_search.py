@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detksat.chains import build_chain, build_instance
+from detksat.covering import build_generalized_code
 from detksat.formula import brute_force_sat, formula, hamming, satisfies, verify_model
 from detksat.generator import gen_random_kcnf
 from detksat.local_search import DlsStats, dls, searchball, structured_space_for
@@ -45,6 +47,45 @@ def _ref_searchball(f, alpha, r):
         return False
 
     return dict(cur) if rec(r) else None
+
+
+def _ref_dls(f, inst):
+    """dls run by the reference ball search: the same generalized family,
+    center by center in radius order. Returns the hit and the balls searched."""
+    k = max(3, f.width())
+    space, lams = structured_space_for(f, inst, k)
+    fam = build_generalized_code(space, Fraction(1, k), lams, k)
+    coord_vars = space.coordinate_variables()  # every variable, once
+    balls = 0
+    for r in fam.radii():
+        for center in fam.entries[r]:
+            alpha = {v: (center >> i) & 1 for i, v in enumerate(coord_vars)}
+            balls += 1
+            hit = _ref_searchball(f, alpha, r)
+            if hit is not None:
+                return hit, balls
+    return None, balls
+
+
+def _one_chains(f, limit):
+    """Up to `limit` variable-disjoint 3-clauses of f, each as a 1-chain."""
+    chains, used = [], set()
+    for c in f.clauses:
+        if len(chains) < limit and c.width == 3 and not (c.variables() & used):
+            chains.append(build_chain([c], 3))
+            used |= c.variables()
+    return chains
+
+
+class _CountingTables(tuple):
+    """Per-byte tables that count the nodes a search visits: searchball
+    passes over the tables once per node."""
+
+    visits = 0
+
+    def __iter__(self):
+        self.visits += 1
+        return super().__iter__()
 
 
 @st.composite
@@ -95,6 +136,34 @@ class TestSearchball:
         want = _ref_searchball(f, as_alpha(center, f.n), r)
         assert got == (None if want is None else as_word(want, f.n))
 
+    def test_sub_ball_expanded_once(self):
+        # Every 3-subset of 1..6 as an all-positive clause: a solution sets at
+        # least four of the six, so the radius-3 ball around 0 holds none. A
+        # flip only sets a bit, so each word is reached with one budget, and
+        # each word reached with budget left is expanded once, however many
+        # flip orders reach it (31 nodes; the uncut tree has 1 + 3 + 9 + 27).
+        f = formula(6, list(combinations(range(1, 7), 3)))
+        r = 3
+
+        def first_unsat(w):
+            return next(c.lits for c in f.clauses if not any(w >> (v - 1) & 1 for v in c.lits))
+
+        expanded, level = set(), {0}
+        for _ in range(r):
+            expanded |= level
+            level = {w | 1 << (v - 1) for w in level for v in first_unsat(w)}
+        tables = _CountingTables(f.byte_sat_tables)
+        vars(f)["byte_sat_tables"] = tables
+        assert searchball(f, 0, r) is None
+        assert tables.visits == 1 + 3 * len(expanded) == 31
+
+    def test_word_revisited_below_itself(self):
+        # 00 -(x2)-> 10 -(not x2)-> 00 again with budget 1, while its budget-3
+        # search is still open: that sub-ball is not known empty yet, and it
+        # holds the first hit, x1 = 1
+        f = formula(2, [(-2, 1), (2, 1)])
+        assert searchball(f, 0b00, 3) == 0b01 == as_word(_ref_searchball(f, as_alpha(0, 2), 3), 2)
+
     def test_complete_within_ball(self):
         # against direct enumeration of the ball
         rng = random.Random(17)
@@ -143,6 +212,21 @@ class TestDls:
             assert sorted(hit) == list(range(1, f.n + 1))
             verify_model(f, hit)
 
+    @settings(max_examples=120, deadline=None)
+    @given(_cnf(max_n=8), st.integers(0, 2))
+    @example(formula(3, [(a, b, c) for a in (1, -1) for b in (2, -2) for c in (3, -3)]), 1)
+    @example(formula(7, [(1, 2, 3), (-4, 5, 6), (1, -7), (-2, 4, 7)]), 2)
+    def test_matches_reference_loop(self, f, nchains):
+        # same hit and same ball count as the dict-based ball search run over
+        # the same family; UNSAT formulas search every ball
+        assume(f.n > 0)
+        inst = build_instance(_one_chains(f, nchains))
+        stats = DlsStats()
+        got = dls(f, inst, stats)
+        want, balls = _ref_dls(f, inst)
+        assert got == want
+        assert stats.balls_searched == balls
+
     def test_unsat_contradiction(self):
         pats = [(s1 * 1, s2 * 2, s3 * 3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
         f = formula(3, pats)
@@ -171,15 +255,7 @@ class TestDls:
         for _ in range(25):
             n = rng.randint(7, 12)
             f = gen_random_kcnf(3, n, rng.randint(6, 4 * n), rng.randint(0, 10**6))
-            chains = []
-            used = set()
-            for c in f.clauses:
-                if c.width == 3 and not (c.variables() & used):
-                    chains.append(build_chain([c], 3))
-                    used |= c.variables()
-                if len(chains) == 2:
-                    break
-            inst = build_instance(chains)
+            inst = build_instance(_one_chains(f, 2))
             hit = dls(f, inst)
             want = brute_force_sat(f)
             assert (hit is not None) == (want is not None)
