@@ -44,7 +44,6 @@ from .chains import (
 from .characteristic import (
     Characteristic,
     closed_form_1chain,
-    f_value,
     lambda_for_zeta,
     reproduce_table2,
     solve_characteristic,

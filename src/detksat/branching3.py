@@ -17,7 +17,7 @@ committed without branching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Container, Optional
 
@@ -60,12 +60,6 @@ class PhiConfig:
             raise ValueError("c must exceed 1, got %r" % self.c)
 
 
-@dataclass(frozen=True)
-class Seeds:
-    parent_formula: Formula
-    seeds: tuple[int, ...]
-
-
 # joint satisfying patterns of (u or w) and (not-u or not-w or l3),
 # as literal-truth triples over (u, w, l3); the first two fan out over a
 # fresh literal downstream, giving the amortized 7 branches
@@ -81,6 +75,10 @@ class TbResult:
     src: tuple[int, ...]
     conflict: bool
     fixes: dict[int, int]
+
+
+# probes of the literals a branch set true, each with the formula probed
+Probes = tuple[tuple[Formula, TbResult], ...]
 
 
 def tb_set(f: Formula, lit: int) -> TbResult:
@@ -156,17 +154,11 @@ def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
             return f, fixes
 
 
-def rule_upsilon(pending: Optional[Seeds], assigned: Container[int]) -> Optional[Clause]:
-    """First usable seeded 2-clause, or None: branch a fresh literal.
-
-    Seeds are tried in clause order; a member is usable when both of its
-    variables are still unassigned at the node.
-    """
-    if pending is None:
-        return None
-    f = pending.parent_formula
-    for seed in pending.seeds:
-        tb = tb_set(f, seed)
+def rule_upsilon(pending: Probes, assigned: Container[int]) -> Optional[Clause]:
+    """First usable member of the parent's seed probes, or None: branch a
+    fresh literal. Probes are tried in order and their members in clause
+    order; a member is usable when both its variables are unassigned."""
+    for f, tb in pending:
         for s in tb.src:
             m = member(f, tb, s)
             if abs(m.lits[0]) not in assigned and abs(m.lits[1]) not in assigned:
@@ -205,234 +197,172 @@ class _ClosedChain:
     r2: bool
 
 
+@dataclass(frozen=True)
+class _Path:
+    """One root-to-node path: its closed chains, the open chain's original
+    clauses and overlap symbols, the depth, the fresh-literal splits charged,
+    and whether the next split is free (it follows a chain's closing)."""
+
+    closed: tuple[_ClosedChain, ...] = ()
+    origs: tuple[Clause, ...] = ()
+    syms: str = ""
+    depth: int = 0
+    splits: int = 0
+    credit: bool = False
+
+    @property
+    def zeta(self) -> str:
+        return self.syms + "*"
+
+    def typed(self) -> list[tuple[str, bool]]:
+        """(zeta, r2) of each chain, the open one last."""
+        typed = [(c.zeta, c.r2) for c in self.closed]
+        if self.origs:
+            typed.append((self.zeta, False))
+        return typed
+
+    def product(self) -> Fraction:
+        """The path's product of branch numbers, charged splits included."""
+        prod = Fraction(2) ** self.splits
+        for z, r2 in self.typed():
+            prod *= branch_number(z, r2)
+        return prod
+
+    def child(self) -> "_Path":
+        return replace(self, depth=self.depth + 1, credit=False)
+
+
+def _values(lits, bits) -> dict[int, int]:
+    """The variable values that give each literal its truth bit."""
+    return {abs(l): b if l > 0 else 1 - b for l, b in zip(lits, bits)}
+
+
 class _Search:
     def __init__(self, cfg: PhiConfig, stats: Br3Stats, trace: Optional[Callable[[str], None]]):
         self.cfg = cfg
         self.stats = stats
         self.trace = trace
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _close(self, origs, syms, r2: bool) -> _ClosedChain:
-        z = "".join(syms) + "*"
+    def _close(self, path: _Path, r2: bool) -> _Path:
+        """The path with its open chain closed; its next split is free."""
+        z = path.zeta
         assert "tp" not in z and "tt" not in z, z
         self.stats.closed_zetas.append((z, r2))
-        return _ClosedChain(tuple(origs), z, r2)
-
-    def _vector(self, closed, open_syms, has_open: bool) -> ChainVector:
-        typed = [(c.zeta, c.r2) for c in closed]
-        if has_open:
-            typed.append(("".join(open_syms) + "*", False))
-        return ChainVector.from_typed_chains(typed)
-
-    def _rule2_fires(self, open_syms) -> bool:
-        z = "".join(open_syms) + "*"
-        lam = lambda_for_zeta(z)
-        return f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= F1
+        closed = path.closed + (_ClosedChain(path.origs, z, r2),)
+        return replace(path, closed=closed, origs=(), syms="", credit=True)
 
     def _leaf(self, outcome: Outcome) -> Outcome:
         self.stats.leaves += 1
         return outcome
 
-    def _phi_product(self, closed, open_syms, has_open: bool, path_splits: int) -> Fraction:
-        prod = Fraction(2) ** path_splits
-        for c in closed:
-            prod *= branch_number(c.zeta, c.r2)
-        if has_open:
-            prod *= branch_number("".join(open_syms) + "*", False)
-        return prod
-
-    # -- the recursion -----------------------------------------------------
-
-    def node(
-        self,
-        f: Formula,
-        alpha: dict[int, int],
-        closed: tuple[_ClosedChain, ...],
-        open_origs: tuple[Clause, ...],
-        open_syms: tuple[str, ...],
-        pending: Optional[Seeds],
-        depth: int,
-        path_splits: int,
-        split_credit: int,
-    ) -> Outcome:
+    def node(self, f: Formula, alpha: dict[int, int], path: _Path, pending: Probes) -> Outcome:
+        """Search below one node; ``pending`` holds the parent's probes of
+        the literals the branch set true, which seed the next clause."""
         self.stats.nodes += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
+        self.stats.max_depth = max(self.stats.max_depth, path.depth)
         f, fixes = procedure_p_tracked(f)
         if fixes:
             alpha = {**alpha, **fixes}
         if f.has_bottom:
             return self._leaf(Outcome.unsat())
-        vec = self._vector(closed, open_syms, bool(open_origs))
+        typed = path.typed()
+        vec = ChainVector.from_typed_chains(typed)
         if condition_phi(vec, f.n, self.cfg):
-            self.stats.phi_events.append(
-                PhiEvent(
-                    self.stats.leaves,
-                    self._phi_product(closed, open_syms, bool(open_origs), path_splits),
-                    len(closed) + (1 if open_origs else 0),
-                )
-            )
-            seq = [c for ch in closed for c in ch.origs] + list(open_origs)
+            self.stats.phi_events.append(PhiEvent(self.stats.leaves, path.product(), len(typed)))
+            seq = [c for ch in path.closed for c in ch.origs] + list(path.origs)
             return Outcome.of_instance(transform(seq))
         if f.width() <= 2:
             m = solve_2sat(f)
             if m is None:
                 return self._leaf(Outcome.unsat())
-            total = {**m, **alpha}
-            return self._leaf(Outcome.sat(total))
-        if open_origs and (len(open_origs) >= TAU_CAP or self._rule2_fires(open_syms)):
-            closed2 = closed + (self._close(open_origs, open_syms, True),)
-            return self.node(f, alpha, closed2, (), (), None, depth, path_splits, 1)
+            return self._leaf(Outcome.sat({**m, **alpha}))
+        # forced termination: the open chain has TAU_CAP clauses, or the
+        # doubled-branch-number rule fires (f at 2b is at most F1, the
+        # 1-chain's value)
+        z = path.zeta
+        if path.origs and (
+            len(path.origs) >= TAU_CAP
+            or f_raw(2 * branch_number(z), eta_of_zeta(z), lambda_for_zeta(z)) <= F1
+        ):
+            return self.node(f, alpha, self._close(path, True), ())
 
         sel = rule_upsilon(pending, alpha)
         if sel is None:
-            if pending is not None and self._pending_conflicts(pending):
+            # a conflicting seed is a unit consequence against this branch;
+            # one without a usable member falls through to a fresh literal
+            if pending and all(tb.conflict for _, tb in pending):
                 return self._leaf(Outcome.unsat())
-            if open_origs:
-                closed2 = closed + (self._close(open_origs, open_syms, True),)
-                return self.node(f, alpha, closed2, (), (), None, depth, path_splits, 1)
-            return self.fresh(f, alpha, closed, depth, path_splits, split_credit)
+            if path.origs:
+                return self.node(f, alpha, self._close(path, True), ())
+            return self.fresh(f, alpha, path)
 
-        if open_origs:
-            sym = overlap_symbol(open_origs[-1].lits, sel.orig)
+        sym = "-"
+        if path.origs:
+            sym = overlap_symbol(path.origs[-1].lits, sel.orig)
             assert sym in "*np", sym
-        else:
-            sym = None
-        if sym == "*":
-            closed = closed + (self._close(open_origs, open_syms, False),)
-            open_origs, open_syms = (), ()
-        orig_clause = Clause(sel.orig, sel.orig)
-        if open_origs:
-            open_syms = open_syms + (sym,)
-        open_origs = open_origs + (orig_clause,)
+            path = self._close(path, False) if sym == "*" else replace(path, syms=path.syms + sym)
+        path = replace(path, origs=path.origs + (Clause(sel.orig, sel.orig),))
 
         if self.trace:
             self.trace(
                 "depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f"
-                % (depth, sel, sym or "-", "".join(open_syms), vec.log2_branch_sum())
+                % (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
             )
 
-        bundle = self._bundle_member(f, sel, len(open_origs))
-        if bundle is not None:
-            return self._branch_bundle(
-                f, alpha, closed, open_origs, open_syms, sel, bundle, depth, path_splits
-            )
-        return self._branch_plain(
-            f, alpha, closed, open_origs, open_syms, sel, depth, path_splits
-        )
-
-    def _pending_conflicts(self, pending: Seeds) -> bool:
-        """True when every seed's propagation in the parent conflicts.
-
-        A conflicting seed is a unit consequence against this branch, so the
-        branch is unsatisfiable; a non-conflicting seed merely had no usable
-        member and falls through to the fresh-literal path.
-        """
-        saw_ok = False
-        for seed in pending.seeds:
-            if not tb_set(pending.parent_formula, seed).conflict:
-                saw_ok = True
-        return not saw_ok
-
-    def _bundle_member(self, f: Formula, sel: Clause, open_len: int):
-        if open_len + 1 > TAU_CAP:
-            return None
         u, w = sel.lits
         tbu = tb_set(f, u)
-        if not tbu.src:
-            return None
-        orig = f.clauses[tbu.src[0]].orig
-        if -u in orig and -w in orig:
-            l3 = next(l for l in orig if abs(l) not in (abs(u), abs(w)))
-            return (orig, l3)
-        return None
-
-    def _branch_plain(
-        self, f, alpha, closed, open_origs, open_syms, sel, depth, path_splits
-    ) -> Outcome:
-        u, w = sel.lits
-        for bu, bw in ((0, 1), (1, 0), (1, 1)):
-            add = {
-                abs(u): bu if u > 0 else 1 - bu,
-                abs(w): bw if w > 0 else 1 - bw,
-            }
-            seeds = tuple(l for l, b in ((u, bu), (w, bw)) if b == 1)
-            sub = self.node(
-                restrict(f, add),
-                {**alpha, **add},
-                closed,
-                open_origs,
-                open_syms,
-                Seeds(f, seeds),
-                depth + 1,
-                path_splits,
-                0,
-            )
+        if len(path.origs) < TAU_CAP and tbu.src:
+            orig = f.clauses[tbu.src[0]].orig
+            if -u in orig and -w in orig:
+                return self._bundle(f, alpha, path, (u, w), orig)
+        probes = ((f, tbu), (f, tb_set(f, w)))
+        for bits in ((0, 1), (1, 0), (1, 1)):
+            add = _values((u, w), bits)
+            seeds = tuple(p for p, b in zip(probes, bits) if b)
+            sub = self.node(restrict(f, add), {**alpha, **add}, path.child(), seeds)
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
 
-    def _branch_bundle(
-        self, f, alpha, closed, open_origs, open_syms, sel, bundle, depth, path_splits
-    ) -> Outcome:
-        orig, l3 = bundle
-        open_origs = open_origs + (Clause(orig, orig),)
-        open_syms = open_syms + ("t",)
-        u, w = sel.lits
-        v3 = abs(l3)
-        grouped: dict[tuple[int, int], list[int]] = {}
+    def _bundle(self, f, alpha, path: _Path, uw, orig) -> Outcome:
+        """The two-negative composite: the clause ``orig`` joins the open
+        chain, and one child per pattern of BUNDLE_PATTERNS; the children
+        that set its third literal false close the chain."""
+        l3 = next(l for l in orig if abs(l) not in (abs(uw[0]), abs(uw[1])))
+        path = replace(path, origs=path.origs + (Clause(orig, orig),), syms=path.syms + "t").child()
+        shared = None
         for bu, bw, b3 in BUNDLE_PATTERNS:
-            grouped.setdefault((bu, bw), []).append(b3)
-        for (bu, bw), b3s in grouped.items():
-            add = {
-                abs(u): bu if u > 0 else 1 - bu,
-                abs(w): bw if w > 0 else 1 - bw,
-            }
-            fy, fy_fix = procedure_p_tracked(restrict(f, add))
-            alpha_y = {**alpha, **add, **fy_fix}
+            if (bu, bw) != shared:
+                # the patterns sharing (u, w) share its simplified formula
+                shared = (bu, bw)
+                add = _values(uw, shared)
+                fy, fixes = procedure_p_tracked(restrict(f, add))
+                alpha_y = {**alpha, **add, **fixes}
+                if fy.has_bottom:
+                    self.stats.leaves += 1
             if fy.has_bottom:
-                self.stats.leaves += 1
                 continue
-            for b3 in b3s:
-                val3 = b3 if l3 > 0 else 1 - b3
-                if v3 in alpha_y:
-                    if alpha_y[v3] != val3:
-                        self.stats.leaves += 1
-                        continue
-                    sub_f, sub_alpha = fy, alpha_y
-                else:
-                    sub_f = restrict(fy, {v3: val3})
-                    sub_alpha = {**alpha_y, v3: val3}
-                if b3 == 1:
-                    sub = self.node(
-                        sub_f,
-                        sub_alpha,
-                        closed,
-                        open_origs,
-                        open_syms,
-                        Seeds(fy, (l3,)),
-                        depth + 1,
-                        path_splits,
-                        0,
-                    )
-                else:
-                    closed2 = closed + (self._close(open_origs, open_syms, False),)
-                    sub = self.node(
-                        sub_f, sub_alpha, closed2, (), (), None, depth + 1, path_splits, 1
-                    )
-                if sub.kind != "unsat":
-                    return sub
+            v3, val3 = abs(l3), b3 if l3 > 0 else 1 - b3
+            if v3 in alpha_y:
+                if alpha_y[v3] != val3:
+                    self.stats.leaves += 1
+                    continue
+                sub_f, sub_alpha = fy, alpha_y
+            else:
+                sub_f, sub_alpha = restrict(fy, {v3: val3}), {**alpha_y, v3: val3}
+            if b3:
+                sub = self.node(sub_f, sub_alpha, path, ((fy, tb_set(fy, l3)),))
+            else:
+                sub = self.node(sub_f, sub_alpha, self._close(path, False), ())
+            if sub.kind != "unsat":
+                return sub
         return Outcome.unsat()
 
-    def fresh(
-        self, f, alpha, closed, depth, path_splits, split_credit
-    ) -> Outcome:
+    def fresh(self, f, alpha, path: _Path) -> Outcome:
         """Start a new chain: pretest a fresh literal, commit autarks and
         forced values without branching, split only when both sides produce
         new 2-clauses."""
-        three = next((c for c in f.clauses if c.width == 3), None)
-        assert three is not None
-        x = three.lits[0]
+        x = next(c for c in f.clauses if c.width == 3).lits[0]  # width > 2 here
         tb1 = tb_set(f, x)
         tb0 = tb_set(f, -x)
         if tb1.conflict and tb0.conflict:
@@ -448,29 +378,12 @@ class _Search:
         if forced is not None:
             # a forced value or an autark: commit it without branching
             up = up_restrict(f, forced.fixes)
-            return self.node(
-                up.formula, {**alpha, **up.fixes}, closed, (), (), None,
-                depth, path_splits, split_credit,
-            )
+            return self.node(up.formula, {**alpha, **up.fixes}, path, ())
         self.stats.splits += 1
-        if split_credit > 0:
-            child_splits = path_splits
-        else:
-            child_splits = path_splits + 1
-        for val, tb in ((0, tb0), (1, tb1)):
-            seed = x if val == 1 else -x
+        child = replace(path.child(), splits=path.splits + (not path.credit))
+        for tb in (tb0, tb1):
             up = up_restrict(f, tb.fixes)
-            sub = self.node(
-                up.formula,
-                {**alpha, **up.fixes},
-                closed,
-                (),
-                (),
-                Seeds(f, (seed,)),
-                depth + 1,
-                child_splits,
-                0,
-            )
+            sub = self.node(up.formula, {**alpha, **up.fixes}, child, ((f, tb),))
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
@@ -489,7 +402,7 @@ def br_3(
     cfg = cfg or PhiConfig()
     stats = stats if stats is not None else Br3Stats()
     search = _Search(cfg, stats, trace)
-    out = search.node(f, {}, (), (), (), None, 0, 0, 0)
+    out = search.node(f, {}, _Path(), ())
     if out.kind == "sat":
         total = {v: 0 for v in range(1, f.n + 1)}
         total.update(out.assignment)

@@ -261,10 +261,6 @@ def f_raw(b: Fraction, eta: int, lam: Fraction) -> float:
     return lb / (lb + eta * math.log2(4 / 3) + ll)
 
 
-def f_value(rec: ChainTypeRecord) -> float:
-    return f_raw(rec.b, rec.eta, rec.lam)
-
-
 F1 = f_raw(Fraction(3), 3, Fraction(3, 7))
 
 

@@ -81,9 +81,20 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     try:
         return _solve(f, args, phi)
-    except (VerificationError, CoverError) as e:
+    except (VerificationError, CoverError, RecursionError) as e:
+        # a RecursionError: the branching recurses once per node, and a deep
+        # search exhausts the interpreter's recursion limit
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
+
+
+def _verdict(f, m, path, stats: SolveStats) -> int:
+    """Report SAT with the model m, checked against f first, or UNSAT when m
+    is None."""
+    if m is not None:
+        verify_model(f, m)
+    print(json.dumps(_report("SAT" if m is not None else "UNSAT", m, path, stats)))
+    return EXIT_SAT if m is not None else EXIT_UNSAT
 
 
 def _solve(f, args, phi) -> int:
@@ -96,16 +107,9 @@ def _solve(f, args, phi) -> int:
         except ValueError as e:  # the size guard
             print("error: %s" % e, file=sys.stderr)
             return EXIT_ERROR
-        verdict = "SAT" if m is not None else "UNSAT"
-        print(json.dumps(_report(verdict, m, "oracle", stats)))
-        return EXIT_SAT if m is not None else EXIT_UNSAT
+        return _verdict(f, m, "oracle", stats)
     if args.mode == "dls":
-        m = dls(f, None, stats=stats.dls)
-        verdict = "SAT" if m is not None else "UNSAT"
-        if m is not None:
-            verify_model(f, m)
-        print(json.dumps(_report(verdict, m, "DLS", stats)))
-        return EXIT_SAT if m is not None else EXIT_UNSAT
+        return _verdict(f, dls(f, None, stats=stats.dls), "DLS", stats)
     if args.mode == "br":
         if f.width() > 3:
             print("error: --mode br is the 3-SAT branching; width > 3", file=sys.stderr)
@@ -117,17 +121,9 @@ def _solve(f, args, phi) -> int:
             rep.pop("verdict")
             print(json.dumps(rep))
             return 0
-        verdict = "SAT" if out.kind == "sat" else "UNSAT"
-        if out.kind == "sat":
-            verify_model(f, out.assignment)
-        print(json.dumps(_report(verdict, out.assignment, "BR-solved", stats)))
-        return EXIT_SAT if out.kind == "sat" else EXIT_UNSAT
-
+        return _verdict(f, out.assignment, "BR-solved", stats)
     res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
-    if res.verdict == "SAT":
-        verify_model(f, res.assignment)
-    print(json.dumps(_report(res.verdict, res.assignment, stats.path, stats)))
-    return EXIT_SAT if res.verdict == "SAT" else EXIT_UNSAT
+    return _verdict(f, res.assignment, stats.path, stats)
 
 
 def _cmd_gen(args) -> int:
@@ -176,12 +172,18 @@ def _cmd_chain_table(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    shape, defaults = ("cube", {"rho": "1/3"}) if args.cube is not None else ("zeta", {"nu": 1, "k": 3})
+    for name in ("rho", "nu", "k"):
+        if getattr(args, name) is not None and name not in defaults:
+            print("error: --%s does not apply to --%s" % (name, shape), file=sys.stderr)
+            return EXIT_ERROR
+    opt = {name: d if getattr(args, name) is None else getattr(args, name) for name, d in defaults.items()}
     try:
-        if args.cube is not None:
+        if shape == "cube":
             try:
-                rho = Fraction(args.rho)
+                rho = Fraction(opt["rho"])
             except (ValueError, ZeroDivisionError):
-                print("error: --rho: not a fraction: %r" % args.rho, file=sys.stderr)
+                print("error: --rho: not a fraction: %r" % opt["rho"], file=sys.stderr)
                 return EXIT_ERROR
             if not (0 < rho < Fraction(1, 2)):
                 print("error: rho must lie in (0, 1/2)", file=sys.stderr)
@@ -191,11 +193,11 @@ def _cmd_cover(args) -> int:
             fam = cover_cube(args.cube, math.ceil(rho * args.cube))
             space = StructuredSpace((CubeFactor(args.cube),))
         else:
+            nu, k = opt["nu"], opt["k"]
             chain = canonical_realization(args.zeta)
             sp = solution_space(chain)
-            lam = group_lambda(args.zeta, chain, args.k)
-            fam = ell_cover_spaces((sp,) * args.nu, args.k, lam)
-            space = StructuredSpace((PowerFactor((sp,) * args.nu),))
+            fam = ell_cover_spaces((sp,) * nu, k, group_lambda(args.zeta, chain, k))
+            space = StructuredSpace((PowerFactor((sp,) * nu),))
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
@@ -253,9 +255,9 @@ def main(argv=None) -> int:
     shape = c.add_mutually_exclusive_group(required=True)
     shape.add_argument("--cube", type=int, default=None)
     shape.add_argument("--zeta", default=None)
-    c.add_argument("--rho", default="1/3")
-    c.add_argument("--nu", type=int, default=1)
-    c.add_argument("--k", type=int, default=3)
+    c.add_argument("--rho", default=None, help="cube only (default 1/3)")
+    c.add_argument("--nu", type=int, default=None, help="zeta only (default 1)")
+    c.add_argument("--k", type=int, default=None, help="zeta only (default 3)")
     c.add_argument("--dump", action="store_true")
     c.set_defaults(fn=_cmd_cover)
 

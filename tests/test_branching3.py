@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -8,7 +9,6 @@ from detksat.branching3 import (
     BUNDLE_PATTERNS,
     Br3Stats,
     PhiConfig,
-    Seeds,
     br_3,
     condition_phi,
     member,
@@ -132,18 +132,17 @@ class TestProcedureP:
 class TestRuleUpsilon:
     def test_seeded_selection(self):
         f = formula(7, [(1, 2), (-1, 3, 4), (-3, 5, 6)])
-        got = rule_upsilon(Seeds(f, (1,)), {1, 2})
+        got = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
         assert got.lits == (3, 4)
 
     def test_root_needs_fresh(self):
-        f = formula(3, [(1, 2, 3)])
-        assert rule_upsilon(None, set()) is None
+        assert rule_upsilon((), set()) is None
 
     def test_viability_skips_assigned_members(self):
         # the first member's variables are burned by the branch; the next
         # viable member is returned instead
         f = formula(8, [(1, 2), (-1, 2, 3), (-1, 4, 5)])
-        got = rule_upsilon(Seeds(f, (1,)), {1, 2})
+        got = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
         assert got.lits == (4, 5)
 
 
@@ -281,6 +280,62 @@ class TestBr3:
 
         with pytest.raises(ValueError):
             br_3(formula(4, [(1, 2, 3, 4)]))
+
+
+# The exact work of the branching on the instances the tests above solve: per
+# seed, (kind, nodes, leaves, splits, max_depth, closed chains, Phi events),
+# plus one digest over every outcome, every Br3Stats field and every trace
+# line. A change that only restructures the search keeps all of them.
+PINNED_WORK = {
+    (13, 55, 1.05): [
+        ('u', 9, 6, 1, 2, 0, 0), ('u', 9, 6, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('i', 4, 1, 1, 2, 0, 1),
+        ('i', 3, 0, 1, 2, 0, 1), ('s', 6, 4, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('i', 3, 0, 1, 2, 0, 1),
+        ('i', 3, 0, 1, 2, 0, 1), ('s', 6, 4, 1, 2, 0, 0), ('i', 8, 4, 1, 2, 0, 1), ('i', 7, 3, 1, 2, 0, 1),
+        ('u', 9, 6, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('i', 3, 0, 1, 2, 0, 1), ('i', 5, 2, 1, 2, 0, 1),
+        ('i', 3, 0, 1, 2, 0, 1), ('i', 7, 3, 1, 2, 0, 1), ('s', 2, 1, 1, 1, 0, 0), ('s', 6, 4, 1, 2, 0, 0),
+        ('i', 8, 4, 1, 2, 0, 1), ('i', 3, 0, 1, 2, 0, 1), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
+        ('s', 2, 1, 1, 1, 0, 0),
+    ],
+    (13, 55, 1.2): [
+        ('u', 9, 6, 1, 2, 0, 0), ('u', 9, 6, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('s', 9, 6, 1, 3, 0, 0),
+        ('s', 3, 1, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 9, 6, 1, 3, 0, 0),
+        ('s', 3, 1, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('u', 12, 8, 1, 3, 0, 0), ('u', 12, 8, 1, 3, 1, 0),
+        ('u', 9, 6, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 12, 8, 1, 3, 0, 0), ('s', 5, 3, 1, 2, 0, 0),
+        ('s', 3, 1, 1, 2, 0, 0), ('s', 11, 7, 1, 3, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 6, 4, 1, 2, 0, 0),
+        ('u', 12, 8, 1, 3, 1, 0), ('s', 3, 1, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
+        ('s', 2, 1, 1, 1, 0, 0),
+    ],
+    (12, 50, 1e9): [
+        ('s', 2, 1, 1, 1, 0, 0), ('s', 9, 6, 1, 2, 0, 0), ('s', 3, 1, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0),
+        ('u', 9, 6, 1, 2, 0, 0), ('s', 3, 1, 1, 2, 1, 0), ('u', 9, 6, 1, 2, 0, 0), ('u', 8, 7, 1, 2, 1, 0),
+        ('s', 3, 1, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 18, 12, 1, 3, 0, 0),
+        ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 4, 2, 1, 2, 0, 0),
+        ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 6, 4, 1, 2, 0, 0),
+        ('s', 2, 1, 1, 1, 0, 0), ('s', 12, 8, 1, 3, 0, 0), ('s', 7, 4, 1, 2, 1, 0), ('s', 2, 1, 1, 1, 0, 0),
+        ('u', 9, 6, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('s', 3, 1, 1, 2, 1, 0), ('s', 2, 1, 1, 1, 0, 0),
+        ('u', 13, 10, 1, 3, 2, 0), ('s', 5, 1, 1, 2, 1, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 7, 4, 1, 2, 0, 0),
+        ('u', 8, 7, 1, 2, 1, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
+        ('u', 9, 6, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
+    ],
+}
+PINNED_DIGEST = "430608907e2415760ecb18dc70eca81fbb8485d94070eadc2945c3ca73226c8a"
+
+
+class TestPinnedWork:
+    def test_work_and_digest(self):
+        h = hashlib.sha256()
+        for (n, m, c), want in PINNED_WORK.items():
+            got = []
+            for seed in range(len(want)):
+                st = Br3Stats()
+                lines = []
+                out = br_3(gen_random_kcnf(3, n, m, seed), PhiConfig(c=c), trace=lines.append, stats=st)
+                got.append(
+                    (out.kind[0], st.nodes, st.leaves, st.splits, st.max_depth, len(st.closed_zetas), len(st.phi_events))
+                )
+                h.update(repr((out, st, lines)).encode())
+            assert got == want, (n, m, c)
+        assert h.hexdigest() == PINNED_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from detksat.cli import main
 from detksat.covering import ell_cover_spaces
 from detksat.formula import parse_dimacs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -98,6 +104,29 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: brute force guard")
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "br", "--c", "1e9"]])
+    def test_search_deeper_than_stack_exit_1(self, tmp_path, mode):
+        # the branching reaches depth 44 on this instance; a recursion limit
+        # of 40 frames stands in for a deep search on a large input
+        from detksat.formula import serialize_dimacs
+        from detksat.generator import gen_random_kcnf
+
+        p = tmp_path / "deep.cnf"
+        p.write_text(serialize_dimacs(gen_random_kcnf(3, 300, 600, 0)))
+        code = "import sys; from detksat.cli import main; sys.setrecursionlimit(40); sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(p)] + mode,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: maximum recursion depth exceeded")
 
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
@@ -231,6 +260,26 @@ class TestCover:
     def test_k_below_3_exit_1(self, k, capsys):
         assert main(["cover", "--zeta", "*", "--k", k]) == 1
         assert capsys.readouterr().err == "error: k must be >= 3\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cube", "6", "--nu", "3"],
+            ["--cube", "6", "--k", "9"],
+            ["--cube", "6", "--nu", "1", "--k", "3"],
+            ["--zeta", "*", "--rho", "9"],
+            ["--zeta", "*", "--rho", "1/3"],
+        ],
+    )
+    def test_option_of_other_shape_exit_1(self, argv, capsys):
+        assert main(["cover"] + argv) == 1
+        assert "does not apply to" in capsys.readouterr().err
+
+    def test_defaults(self, capsys):
+        assert main(["cover", "--cube", "6"]) == 0
+        assert capsys.readouterr().out.startswith("# cube width 6\nradius 2: ")  # rho 1/3
+        assert main(["cover", "--zeta", "*"]) == 0
+        assert capsys.readouterr().out.startswith("# ell-family nu=1 ell=3\n")  # nu 1, k 3
 
     def test_dump(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/3", "--dump"]) == 0
