@@ -13,6 +13,10 @@ from fractions import Fraction
 
 L = math.log2
 
+# the widest k the recurrence is tabulated for, and so the widest clause the
+# width-k branching takes
+KMAX = 12
+
 
 def c3() -> float:
     """3^(log(4/3) / log(64/21)), about 1.32793 rounded up."""
@@ -42,8 +46,8 @@ def lambda_1chain(k: int) -> Fraction:
 
 def ck_recurrence(kmax: int) -> list[BoundRow]:
     """Rows (k, c_k, nu) for k = 3..kmax, seeded at the 3-SAT base."""
-    if kmax > 12:
-        raise ValueError("kmax guard: %d > 12" % kmax)
+    if kmax > KMAX:
+        raise ValueError("kmax guard: %d > %d" % (kmax, KMAX))
     if kmax < 3:
         raise ValueError("kmax must be >= 3")
     rows = [BoundRow(3, c3(), nu1_3sat())]

@@ -58,9 +58,15 @@ def _patterns(k: int):
     return [p for p in iproduct((0, 1), repeat=k) if any(p)]
 
 
-def br_k(f: Formula, cfg: KSatConfig, stats: Optional["SolveStats"] = None) -> Outcome:
-    """Either solve by branching into the (k-1)-SAT solver or return the
-    instance for local search."""
+def br_k(
+    f: Formula,
+    cfg: KSatConfig,
+    phi_cfg: Optional[PhiConfig] = None,
+    stats: Optional["SolveStats"] = None,
+    trace=None,
+) -> Outcome:
+    """Either solve by branching into the (k-1)-SAT solver, which gets
+    ``phi_cfg`` and ``trace``, or return the instance for local search."""
     if f.width() < 4:
         raise ValueError("br_k expects width >= 4")
     inst = greedy_maximal_1chains(f)
@@ -74,7 +80,7 @@ def br_k(f: Formula, cfg: KSatConfig, stats: Optional["SolveStats"] = None) -> O
                 alpha[abs(lit)] = bit if lit > 0 else 1 - bit
         if stats is not None:
             stats.branch_nodes += 1
-        sub = solve_ksat(restrict(f, alpha), stats=stats)
+        sub = solve_ksat(restrict(f, alpha), phi_cfg, stats, trace)
         if sub.verdict == "SAT":
             total = dict(sub.assignment)
             total.update(alpha)
@@ -120,7 +126,7 @@ def solve_ksat(
     if w == 3:
         out = br_3(f, phi_cfg, trace=trace, stats=stats.br3)
     else:
-        out = br_k(f, ksat_config(w), stats=stats)
+        out = br_k(f, ksat_config(w), phi_cfg, stats, trace)
     if out.kind == "sat":
         stats.path = stats.path or "BR-solved"
         verify_model(f, out.assignment)

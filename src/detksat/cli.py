@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import ck_recurrence, round_up
+from .bounds import KMAX, ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
 from .chains import canonical_realization, group_by_type, solution_space
@@ -122,6 +122,9 @@ def _solve(f, args, phi) -> int:
             print(json.dumps(rep))
             return 0
         return _verdict(f, out.assignment, "BR-solved", stats)
+    if f.width() > KMAX:
+        print("error: width guard: clause width %d > %d" % (f.width(), KMAX), file=sys.stderr)
+        return EXIT_ERROR
     res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
     return _verdict(f, res.assignment, stats.path, stats)
 

@@ -6,14 +6,15 @@ ball covers the most uncovered words (ties break to the smallest packed
 value); the marginal-coverage counts are computed for all candidates at once
 by an XOR correlation via the Walsh-Hadamard transform. At radius 0 a ball is
 its center, so the picks are the uncovered candidates in ascending order and
-need no transform. The transform is the
-constant-geometry form over two buffers: every stage reads adjacent pairs of
-one buffer and writes their sums and differences to the two halves of the
-other, so each stage is two whole-array operations and makes no temporaries.
-It is exact in float64: every intermediate value is an integer, a signed sum
-over part of the input, and by Cauchy-Schwarz and Parseval each is at most
-n * sqrt(|U| * V) for n = 2^width words, |U| uncovered words and a ball of V
-words. That is at most 2^48 at width 24, below 2^53.
+need no transform. The transform is the constant-geometry form over two
+buffers: every stage reads adjacent pairs of one buffer and writes their sums
+and differences to the two halves of the other, so each stage is two
+whole-array operations and makes no temporaries. It is exact in float64:
+every intermediate value is an integer, a signed sum over part of the input,
+and by Cauchy-Schwarz and Parseval each is at most n * sqrt(|U| * V) <= 4^width
+for n = 2^width words, |U| uncovered words and a ball of V words. A transform
+is at most BLOCK_WIDTH = 20 bits wide (2^40), or one chain space of at most 24
+bits (2^48), below 2^53.
 
 A code is a pure function of its shape, so ``cover_cube`` (keyed by width and
 radius) and ``ell_cover_spaces`` (keyed by the spaces' widths and words, k and
@@ -40,9 +41,11 @@ from .chains import SolutionSpace
 
 log = logging.getLogger(__name__)
 
-DIRECT_CUBE_LIMIT = 24
 BLOCK_WIDTH = 20
-POWER_WIDTH_LIMIT = 22
+# above every code the benchmark builds and the 144,388 centers of the DLS code
+# of a random 4-CNF at n = 28, whose ball search took 0.8 ms per center; at
+# that rate a code of this size is about an hour of ball search
+CODE_SIZE_LIMIT = 1 << 22
 EXHAUSTIVE_VERIFY_LIMIT = 20
 VERIFY_SEED = 12345
 
@@ -239,7 +242,8 @@ def _greedy_cover(
 
 @functools.cache
 def cover_cube(width: int, radius: int) -> CodeFamily:
-    """Single-radius covering code for the full cube, greedy set cover.
+    """Single-radius covering code for the full cube, greedy set cover; a
+    cube wider than BLOCK_WIDTH is the product of balanced blocks.
 
     Memoized per process by (width, radius); ``cover_cube.__wrapped__``
     skips the memo for the call itself (blocks still go through it).
@@ -250,7 +254,7 @@ def cover_cube(width: int, radius: int) -> CodeFamily:
         return CodeFamily(0, {radius: (0,)}, "cube width 0")
     if radius >= width:
         return CodeFamily(width, {radius: (0,)}, "cube width %d, degenerate" % width)
-    if width > DIRECT_CUBE_LIMIT:
+    if width > BLOCK_WIDTH:
         return _cover_cube_blocks(width, radius)
     n = 1 << width
     all_true = np.ones(n, dtype=bool)
@@ -261,15 +265,20 @@ def cover_cube(width: int, radius: int) -> CodeFamily:
     return CodeFamily(width, {radius: tuple(centers)}, "cube width %d" % width)
 
 
+def _balanced(count: int, cap: int) -> list[int]:
+    """The fewest near-equal parts of at most cap summing to count, larger first."""
+    nb = -(-count // cap)
+    base, rem = divmod(count, nb)
+    return [base + 1] * rem + [base] * (nb - rem)
+
+
 def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
-    nb = -(-width // BLOCK_WIDTH)
-    base, rem = divmod(width, nb)
-    widths = [base + 1 if i < rem else base for i in range(nb)]
+    widths = _balanced(width, BLOCK_WIDTH)
     # integer radii summing to `radius`, largest remainder apportionment
     quotas = [radius * w / width for w in widths]
     radii = [int(q) for q in quotas]
     short = radius - sum(radii)
-    order = sorted(range(nb), key=lambda i: (-(quotas[i] - int(quotas[i])), i))
+    order = sorted(range(len(widths)), key=lambda i: (-(quotas[i] - int(quotas[i])), i))
     for i in order[:short]:
         radii[i] += 1
     parts = [cover_cube(w, r) for w, r in zip(widths, radii)]
@@ -284,10 +293,13 @@ def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
     Every choice of one radius per family (skipping a choice with an empty
     entry) packs its centers, and files them under the sum of the radii;
     each radius keeps a center once, in first-seen order. Single-radius
-    codes give one radius, with sizes multiplying.
+    codes give one radius, with sizes multiplying. A product of more than
+    CODE_SIZE_LIMIT centers (the product of the family sizes) is refused up front.
     """
     if not families:
         raise CoverError("empty product")
+    if (size := math.prod(fam.size() for fam in families)) > CODE_SIZE_LIMIT:
+        raise CoverError("code size guard: %d centers > %d" % (size, CODE_SIZE_LIMIT))
     entries: dict[int, dict[int, None]] = {}
     for combo in iproduct(*(fam.radii() for fam in families)):
         parts = [(fam.width, fam.entries[r]) for fam, r in zip(families, combo)]
@@ -313,7 +325,9 @@ def ell_cover_spaces(
     Deterministic greedy residual covering: radii ascend from 0 to ell, each
     radius takes greedily chosen centers up to the size budget implied by
     lambda^-nu / (k-1)^r, and the final radius finishes the residual. The
-    budgets are logged, never asserted.
+    budgets are logged, never asserted. A power wider than BLOCK_WIDTH is the
+    product of the families of balanced runs of whole spaces of at most
+    BLOCK_WIDTH bits each.
 
     Memoized per process by the spaces' (width, words), k and lambda: the
     family does not depend on the variable names (``var_order``).
@@ -335,13 +349,14 @@ def _ell_cover_shapes(
     if k < 3:
         raise CoverError("k must be >= 3")
     width = sum(w for w, _ in shapes)
-    if width > POWER_WIDTH_LIMIT:
-        raise CoverError("power space guard: width %d > %d" % (width, POWER_WIDTH_LIMIT))
+    if width > BLOCK_WIDTH and nu > 1:
+        runs = _balanced(nu, max(1, BLOCK_WIDTH // max(w for w, _ in shapes)))
+        ends = list(accumulate(runs, initial=0))
+        parts = [_ell_cover_shapes(shapes[a:b], k, lam) for a, b in zip(ends, ends[1:])]
+        return replace(product_code(parts), description="ell-family nu=%d (runs %s)" % (nu, runs))
     ell = ell_for(nu, k, lam)
-    n = 1 << width
-    member = np.zeros(n, dtype=bool)
-    for word in pack_words(shapes):
-        member[word] = True
+    member = np.zeros(1 << width, dtype=bool)
+    member[np.fromiter(pack_words(shapes), dtype=np.int64)] = True
     uncovered = member.copy()
     entries: dict[int, tuple[int, ...]] = {}
     size_target = Fraction(1, 1) / lam**nu

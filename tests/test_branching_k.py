@@ -69,6 +69,26 @@ class TestBrK:
         assert out.kind == "sat"
         assert satisfies(f, out.assignment)
 
+    def test_sub_solves_get_phi_config_and_trace(self, monkeypatch):
+        import detksat.branching_k as branching_k
+
+        # br_k branches on (1, 2, 3, 4); with variable 1 false the rest is a 3-CNF
+        cls = [(1, 2, 3, 4)] + [(1, i, i + 1, i + 2) for i in range(5, 12, 3)]
+        f = formula(14, cls)
+        seen = []
+        br_3 = branching_k.br_3
+
+        def spy(g, cfg=None, trace=None, stats=None):
+            seen.append((cfg, trace))
+            return br_3(g, cfg, trace, stats)
+
+        monkeypatch.setattr(branching_k, "br_3", spy)
+        phi, lines = PhiConfig(c=1.05), []
+        trace = lines.append
+        res = solve_ksat(f, phi_cfg=phi, trace=trace)
+        assert res.verdict == "SAT" and satisfies(f, res.assignment)
+        assert seen and all(cfg is phi and t is trace for cfg, t in seen)
+
     def test_unsat_small(self):
         # all 16 sign patterns over 4 variables
         pats = []

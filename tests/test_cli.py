@@ -89,13 +89,35 @@ class TestSolve:
         assert "falsifies clause 1" in captured.err
 
     def test_cover_guard_exit_1(self, tmp_path, capsys):
-        # random 4-CNF whose 1-chain power factor is too wide for one code
+        # the local search covers the 81-variable cube at radius 27 by five
+        # blocks of 16-17 bits, whose product has about 5.6e8 centers
         p = tmp_path / "wide.cnf"
-        main(["gen", "--k", "4", "--n", "32", "--m", "317", "--seed", "0", "--out", str(p)])
+        p.write_text("p cnf 81 1\n1 2 3 0\n")
+        assert main(["solve", str(p), "--mode", "dls"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: code size guard")
+
+    def test_wide_power_decided(self, tmp_path, capsys):
+        # six disjoint 4-clauses: a 24-bit power of 1-chains, built as two
+        # runs of three chains
+        p = tmp_path / "six.cnf"
+        p.write_text("p cnf 24 6\n" + "".join(
+            "%d %d %d %d 0\n" % tuple(range(4 * i + 1, 4 * i + 5)) for i in range(6)
+        ))
+        assert main(["solve", str(p)]) == 10
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["path"] == "DLS" and rep["stats"]["chain_vector"] == {"*": 6}
+
+    def test_clause_wider_than_kmax_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "wide.cnf"
+        p.write_text("p cnf 13 1\n%s 0\n" % " ".join(map(str, range(1, 14))))
         assert main(["solve", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: power space guard")
+        assert captured.err == "error: width guard: clause width 13 > 12\n"
+        # the local search alone takes any width
+        assert main(["solve", str(p), "--mode", "dls"]) == 10
 
     def test_oracle_guard_exit_1(self, tmp_path, capsys):
         p = tmp_path / "big.cnf"
@@ -247,6 +269,12 @@ class TestCover:
         assert main(["cover", "--zeta", "*", "--k", "4"]) == 0
         assert seen == [(4, Fraction(4, 13))]
         assert "ell=3" in capsys.readouterr().out
+
+    def test_zeta_power_wider_than_block(self, capsys):
+        assert main(["cover", "--zeta", "*", "--nu", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# ell-family nu=8 (runs [4, 4])")
+        assert "coverage: verified" in out
 
     def test_rho_rejected(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/2"]) == 1

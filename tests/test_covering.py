@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -233,6 +234,81 @@ class TestProductCode:
         assert set(prod.entries[0]) == {0, 1, 2, 3}
 
 
+@pytest.fixture
+def block_width(monkeypatch):
+    """Set ``covering.BLOCK_WIDTH`` for one test; the memos are emptied before
+    and after, so no code built at the test's width outlives it."""
+
+    def clear():
+        cover_cube.cache_clear()
+        covering._ell_cover_shapes.cache_clear()
+
+    clear()
+    yield lambda width: monkeypatch.setattr(covering, "BLOCK_WIDTH", width)
+    clear()
+
+
+class TestBlocks:
+    # a "*" space is 3 bits wide, so runs of two; an "n*" space is 5 bits
+    # wide, so runs of one
+    @pytest.mark.parametrize(
+        "zeta,nu,runs", [("*", 3, [2, 1]), ("*", 4, [2, 2]), ("n*", 2, [1, 1]), ("n*", 3, [1, 1, 1])]
+    )
+    def test_split_power_covers(self, block_width, zeta, nu, runs):
+        block_width(7)
+        sp = solution_space(canonical_realization(zeta))
+        spaces = (sp,) * nu
+        fam = ell_cover_spaces(spaces, 3, lambda_for_zeta(zeta))
+        assert fam.description == "ell-family nu=%d (runs %s)" % (nu, runs)
+        rep = verify_coverage(fam, StructuredSpace((PowerFactor(spaces),)))
+        assert rep.ok and not rep.sampled
+        assert rep.checked == len(sp.words) ** nu
+
+    def test_runs_are_memoized_families(self, block_width):
+        block_width(7)
+        sp = solution_space(canonical_realization("*"))
+        lam = Fraction(3, 7)
+        fam = ell_cover_spaces((sp,) * 5, 3, lam)  # runs [2, 2, 1]
+        misses = covering._ell_cover_shapes.cache_info().misses
+        pair, single = ell_cover_spaces((sp,) * 2, 3, lam), ell_cover_spaces((sp,), 3, lam)
+        assert covering._ell_cover_shapes.cache_info().misses == misses
+        assert fam.entries == product_code([pair, pair, single]).entries
+
+    def test_split_cube_covers(self, block_width):
+        block_width(4)
+        fam = cover_cube(10, 3)
+        assert fam.description == "cube width 10 (blocks [4, 3, 3])"
+        rep = verify_coverage(fam, StructuredSpace((CubeFactor(10),)))
+        assert rep.ok and not rep.sampled
+
+    @pytest.mark.parametrize(
+        "count,cap,want",
+        [(26, 20, [13, 13]), (41, 20, [14, 14, 13]), (7, 3, [3, 2, 2]), (5, 5, [5]), (3, 1, [1, 1, 1])],
+    )
+    def test_balanced(self, count, cap, want):
+        assert covering._balanced(count, cap) == want
+
+
+class TestSizeGuard:
+    def test_refused_before_packing(self, monkeypatch):
+        def no_pack(parts):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(covering, "pack_words", no_pack)
+        monkeypatch.setattr(covering, "CODE_SIZE_LIMIT", 11)
+        a = CodeFamily(2, {0: (0, 1, 2), 1: (3,)})
+        b = CodeFamily(1, {0: (0,), 1: (1, 0)})
+        # 4 * 3 = 12 centers: one per choice of a center of each family
+        with pytest.raises(CoverError, match="code size guard: 12 centers > 11"):
+            product_code([a, b])
+
+    def test_limit_admits_its_size(self, monkeypatch):
+        monkeypatch.setattr(covering, "CODE_SIZE_LIMIT", 12)
+        a = CodeFamily(2, {0: (0, 1, 2), 1: (3,)})
+        b = CodeFamily(1, {0: (0,), 1: (1, 0)})
+        assert product_code([a, b]).size() == 12
+
+
 class TestEllFamily:
     def test_ell_formula(self):
         assert ell_for(2, 3, Fraction(3, 7)) == 4
@@ -406,3 +482,40 @@ class TestVerifier:
         lines = text.strip().split("\n")
         assert lines[0].startswith("#")
         assert lines[1] == "r 1 101"
+
+
+def one_clause_space(k, falsifying):
+    """The solution space of one k-clause: every k-bit word but the one that
+    falsifies it."""
+    return SolutionSpace(
+        tuple(w for w in range(1 << k) if w != falsifying), tuple(range(1, k + 1))
+    )
+
+
+# Every covering code the benchmark's workloads build, smoke instances
+# included: cubes as (width, radius), and ell-families of 1-chains as (k,
+# lambda, the falsifying word of each chain's clause). Their entries are
+# pinned by one sha256, so a change to code construction that moves a
+# benchmark code fails here.
+BENCH_CUBES = ((2, 1), (4, 1), (6, 2), (7, 2), (9, 3), (18, 6))
+BENCH_ELL_FAMILIES = (
+    (3, Fraction(3, 7), ((5,), (3,), (2,), (1,))),
+    (
+        4,
+        Fraction(1, 5),
+        ((13, 15, 13), (8, 9, 11), (7, 12), (4, 11, 7), (4, 7, 6), (3, 11, 10), (0, 7, 7)),
+    ),
+    (5, Fraction(125, 1301), ((26, 6), (20, 18), (19, 21), (14, 30))),
+)
+BENCH_CODES_SHA256 = "6f60734cea7bf74f221147b317d5c81b7d1613c23ded41666c05e1f426f4925a"
+
+
+class TestBenchCodes:
+    def test_entries_pinned(self):
+        fams = [cover_cube(w, r) for w, r in BENCH_CUBES]
+        for k, lam, powers in BENCH_ELL_FAMILIES:
+            for falsifying in powers:
+                spaces = tuple(one_clause_space(k, x) for x in falsifying)
+                fams.append(ell_cover_spaces(spaces, k, lam))
+        text = repr([sorted(fam.entries.items()) for fam in fams])
+        assert hashlib.sha256(text.encode()).hexdigest() == BENCH_CODES_SHA256
