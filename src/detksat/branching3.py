@@ -33,6 +33,7 @@ from .formula import (
     Clause,
     Formula,
     propagate,
+    replace_clause,
     restrict,
     solve_2sat,
     up_restrict,
@@ -112,6 +113,14 @@ def member(f: Formula, tb: TbResult, s: int) -> Clause:
     return Clause(tuple([l for l in c.lits if abs(l) not in tb.fixes]), c.orig)
 
 
+def _probe(probes: dict[int, TbResult], f: Formula, lit: int) -> TbResult:
+    """The probe of lit in f, run only when ``probes`` holds none."""
+    tb = probes.get(lit)
+    if tb is None:
+        tb = probes[lit] = tb_set(f, lit)
+    return tb
+
+
 def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
     3-clause-to-2-clause replacement. Returns the formula and fixed variables."""
@@ -122,18 +131,20 @@ def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
     # propagated once: neither step below leaves a unit clause, since a
     # commit restricts by a complete, conflict-free closure and a
     # replacement adds a 2-clause
+    probes: dict[int, TbResult] = {}  # the probes of f, by literal
     while True:
         for c in f.clauses:
             if c.width != 2:
                 continue
             l1, l2 = c.lits
-            tb1 = tb_set(f, l1)
+            tb1 = _probe(probes, f, l1)
             # l2 is probed only when l1 is no autark
-            tb2 = tb_set(f, l2) if tb1.conflict or tb1.src else tb1
+            tb2 = _probe(probes, f, l2) if tb1.conflict or tb1.src else tb1
             if not tb2.conflict and not tb2.src:  # an autark: commit it
                 up = up_restrict(f, tb2.fixes)
                 f = up.formula
                 fixes.update(up.fixes)
+                probes = {}  # a commit re-indexes the clauses
                 break
             # a member of one probe that contains the other literal
             rep = next(
@@ -146,9 +157,12 @@ def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
                 None,
             )
             if rep is not None:
-                cls = list(f.clauses)
-                cls[rep[1]] = member(f, *rep)
-                f = Formula(f.n, tuple(cls))
+                tb, s = rep
+                old = f.clauses[s].lits
+                f = replace_clause(f, s, member(f, tb, s))
+                # a probe fixing no variable of the old clause s never read
+                # it, so it is also the probe of the new f
+                probes = {l: p for l, p in probes.items() if not any(abs(x) in p.fixes for x in old)}
                 break
         else:
             return f, fixes

@@ -219,6 +219,32 @@ def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
     return Formula(f.n, tuple(out))
 
 
+def replace_clause(f: Formula, i: int, c: Clause) -> Formula:
+    """f with clause i replaced by c, a clause on a proper subset of its
+    literals.
+
+    Every clause keeps its index, so the occurrence index and the widths are
+    derived from f's instead of rebuilt: i leaves the list of each dropped
+    literal, and clause i gets c's width.
+    """
+    old = f.clauses[i].lits
+    if not set(c.lits) < set(old):
+        raise ValueError("%s is not a proper sub-clause of %s" % (c, f.clauses[i]))
+    g = Formula(f.n, f.clauses[:i] + (c,) + f.clauses[i + 1 :])
+    occ = dict(f.occurrences)
+    for l in old:
+        if l not in c.lits:
+            rest = [j for j in occ[l] if j != i]
+            if rest:
+                occ[l] = rest
+            else:
+                del occ[l]
+    # a cached_property reads the instance dict first
+    g.__dict__["occurrences"] = occ
+    g.__dict__["widths"] = f.widths[:i] + (len(c.lits),) + f.widths[i + 1 :]
+    return g
+
+
 def _first_falsified(f: Formula, alpha: Mapping[int, int]) -> Optional[int]:
     """Index of the first clause alpha falsifies (unset variables read 0)."""
     for i, c in enumerate(f.clauses):

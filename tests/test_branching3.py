@@ -5,6 +5,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detksat import branching3
 from detksat.branching3 import (
     BUNDLE_PATTERNS,
     Br3Stats,
@@ -22,9 +23,11 @@ from detksat.formula import (
     Formula,
     brute_force_sat,
     formula,
+    restrict,
     satisfies,
     up_restrict,
 )
+from detksat.branching_k import solve_ksat
 from detksat.generator import gen_random_kcnf
 
 
@@ -375,16 +378,22 @@ def _ref_tb(f, lit):
     return [c for c, _ in pairs], [s for _, s in pairs], False, fixes
 
 
-def _ref_procedure_p(f):
+def _ref_procedure_p(f, scans=None):
+    """Reference P, probing afresh at every scan; ``scans`` gets one list
+    per scan of the literals probed in it."""
     cls, _, fixes, conflict = _ref_up(f, {})
     f = Formula(f.n, tuple(cls))
     while not conflict:
+        if scans is not None:
+            scans.append([])
         for c in f.clauses:
             if c.width != 2:
                 continue
             l1, l2 = c.lits
             probes = []
             for lit in (l1, l2):
+                if scans is not None:
+                    scans[-1].append(lit)
                 tb = _ref_tb(f, lit)
                 if not tb[2] and not tb[0]:  # autark: commit it
                     cls, _, fx, _ = _ref_up(f, {abs(lit): 1 if lit > 0 else 0})
@@ -456,3 +465,44 @@ class TestPropagationMatchesRescan:
                 assert list(tb.src) == src
                 assert tb.conflict == conflict
                 assert list(tb.fixes.items()) == list(fx.items())
+
+
+# P keeps its probes across 3->2 replacements. Restricting a random 3-CNF by
+# one literal leaves 2-clauses, on which P replaces clauses and scans again.
+REUSE_CASES = [restrict(gen_random_kcnf(3, 12, 50, seed), {1 + seed % 12: seed % 2}) for seed in range(40)]
+
+
+class TestProbeReuse:
+    def test_procedure_p_matches_reference_across_replacements(self, monkeypatch):
+        fresh = []
+        monkeypatch.setattr(branching3, "tb_set", lambda f, lit: fresh.append(lit) or tb_set(f, lit))
+        reusing = 0
+        for g in REUSE_CASES:
+            fresh.clear()
+            scans = []
+            got, fixes = procedure_p_tracked(g)
+            ref, rfixes = _ref_procedure_p(g, scans)
+            assert _shape(got.clauses) == _shape(ref.clauses)
+            assert list(fixes.items()) == list(rfixes.items())
+            # a table kept only within one scan would probe each literal of
+            # a scan once; a commit clears the table, so fewer fresh probes
+            # than that were kept across a replacement
+            if len(fresh) < sum(len(set(lits)) for lits in scans):
+                reusing += 1
+        assert reusing > len(REUSE_CASES) // 2
+
+
+class TestPinnedProbes:
+    def test_br3_probe_count(self, monkeypatch):
+        """Fresh probes while deciding the bench's br3 instances: 13,579
+        when P probed every literal again after each replacement."""
+        calls = [0]
+
+        def counting(f, lit):
+            calls[0] += 1
+            return tb_set(f, lit)
+
+        monkeypatch.setattr(branching3, "tb_set", counting)
+        verdicts = [solve_ksat(gen_random_kcnf(3, 28, 119, seed)).verdict for seed in range(10)]
+        assert verdicts.count("UNSAT") == 2
+        assert calls[0] == 5144
