@@ -3,7 +3,7 @@
 The simplification procedure commits autark assignments and replaces
 3-clauses by implied 2-clauses; the seeding rule picks each next branching
 clause from the 2-clauses that unit propagation derives out of 3-clauses;
-condition Phi stops the recursion once the accumulated chains are worth more
+condition Phi ends a search path once the accumulated chains are worth more
 to the local search than to the branching.
 """
 

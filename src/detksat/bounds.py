@@ -20,7 +20,7 @@ KMAX = 12
 
 def c3() -> float:
     """3^(log(4/3) / log(64/21)), about 1.32793 rounded up."""
-    return 3.0 ** (L(4 / 3) / L(64 / 21))
+    return 3.0 ** nu1_3sat()
 
 
 def nu1_3sat() -> float:

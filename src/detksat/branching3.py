@@ -1,12 +1,12 @@
 """Branching algorithm for 3-SAT.
 
-Depth-first recursion: simplify, stop on a falsified clause, stop when the
-accumulated chains are worth handing to local search (condition Phi), decide
-2-CNFs in polynomial time, otherwise branch a 2-clause chosen by the seeding
-rule. The sequence of branching clauses (in original form) grows chains whose
-adjacent overlaps are independent/negative/positive/two-negative; the
-two-negative case is expanded as an amortized 7-branch composite so its
-branch-number accounting matches an actual tree shape.
+Depth-first search on an explicit node stack: simplify, stop on a falsified
+clause, stop when the accumulated chains are worth handing to local search
+(condition Phi), decide 2-CNFs in polynomial time, otherwise branch a 2-clause
+chosen by the seeding rule. The sequence of branching clauses (in original
+form) grows chains whose adjacent overlaps are independent/negative/positive/
+two-negative; the two-negative case is expanded as an amortized 7-branch
+composite so its branch-number accounting matches an actual tree shape.
 
 Forced chain terminations (the doubled-branch-number rule and seed
 exhaustion) close the open chain, branch a fresh literal from a 3-clause, and
@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Container, Optional
+from typing import Callable, Container, Generator, Optional
 
+from .bounds import c3
 from .chains import (
     ChainVector,
     branch_number,
@@ -32,6 +33,7 @@ from .characteristic import F1, f_raw, lambda_for_zeta
 from .formula import (
     Clause,
     Formula,
+    lit_values,
     propagate,
     replace_clause,
     restrict,
@@ -42,10 +44,6 @@ from .formula import (
 from .outcomes import Outcome
 
 
-def _default_c3() -> float:
-    return 3.0 ** (math.log2(4 / 3) / math.log2(64 / 21))
-
-
 # the longest open chain: at this many clauses it is closed
 TAU_CAP = 6
 
@@ -54,7 +52,7 @@ TAU_CAP = 6
 class PhiConfig:
     """Targeted base c for the termination condition."""
 
-    c: float = _default_c3()
+    c: float = c3()
 
     def __post_init__(self) -> None:
         if not self.c > 1:  # also rejects NaN
@@ -246,9 +244,9 @@ class _Path:
         return replace(self, depth=self.depth + 1, credit=False)
 
 
-def _values(lits, bits) -> dict[int, int]:
-    """The variable values that give each literal its truth bit."""
-    return {abs(l): b if l > 0 else 1 - b for l, b in zip(lits, bits)}
+# a node's search, run by ``br_3``: it yields each child as its ``node``
+# arguments, is sent the child's outcome, and returns its own
+SearchGen = Generator[tuple[Formula, dict[int, int], _Path, Probes], Outcome, Outcome]
 
 
 class _Search:
@@ -269,7 +267,7 @@ class _Search:
         self.stats.leaves += 1
         return outcome
 
-    def node(self, f: Formula, alpha: dict[int, int], path: _Path, pending: Probes) -> Outcome:
+    def node(self, f: Formula, alpha: dict[int, int], path: _Path, pending: Probes) -> SearchGen:
         """Search below one node; ``pending`` holds the parent's probes of
         the literals the branch set true, which seed the next clause."""
         self.stats.nodes += 1
@@ -298,7 +296,7 @@ class _Search:
             len(path.origs) >= TAU_CAP
             or f_raw(2 * branch_number(z), eta_of_zeta(z), lambda_for_zeta(z)) <= F1
         ):
-            return self.node(f, alpha, self._close(path, True), ())
+            return (yield f, alpha, self._close(path, True), ())
 
         sel = rule_upsilon(pending, alpha)
         if sel is None:
@@ -307,8 +305,8 @@ class _Search:
             if pending and all(tb.conflict for _, tb in pending):
                 return self._leaf(Outcome.unsat())
             if path.origs:
-                return self.node(f, alpha, self._close(path, True), ())
-            return self.fresh(f, alpha, path)
+                return (yield f, alpha, self._close(path, True), ())
+            return (yield from self.fresh(f, alpha, path))
 
         sym = "-"
         if path.origs:
@@ -328,17 +326,17 @@ class _Search:
         if len(path.origs) < TAU_CAP and tbu.src:
             orig = f.clauses[tbu.src[0]].orig
             if -u in orig and -w in orig:
-                return self._bundle(f, alpha, path, (u, w), orig)
+                return (yield from self._bundle(f, alpha, path, (u, w), orig))
         probes = ((f, tbu), (f, tb_set(f, w)))
         for bits in ((0, 1), (1, 0), (1, 1)):
-            add = _values((u, w), bits)
+            add = lit_values((u, w), bits)
             seeds = tuple(p for p, b in zip(probes, bits) if b)
-            sub = self.node(restrict(f, add), {**alpha, **add}, path.child(), seeds)
+            sub = yield restrict(f, add), {**alpha, **add}, path.child(), seeds
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
 
-    def _bundle(self, f, alpha, path: _Path, uw, orig) -> Outcome:
+    def _bundle(self, f, alpha, path: _Path, uw, orig) -> SearchGen:
         """The two-negative composite: the clause ``orig`` joins the open
         chain, and one child per pattern of BUNDLE_PATTERNS; the children
         that set its third literal false close the chain."""
@@ -349,30 +347,30 @@ class _Search:
             if (bu, bw) != shared:
                 # the patterns sharing (u, w) share its simplified formula
                 shared = (bu, bw)
-                add = _values(uw, shared)
+                add = lit_values(uw, shared)
                 fy, fixes = procedure_p_tracked(restrict(f, add))
                 alpha_y = {**alpha, **add, **fixes}
                 if fy.has_bottom:
                     self.stats.leaves += 1
             if fy.has_bottom:
                 continue
-            v3, val3 = abs(l3), b3 if l3 > 0 else 1 - b3
+            v3, add3 = abs(l3), lit_values((l3,), (b3,))
             if v3 in alpha_y:
-                if alpha_y[v3] != val3:
+                if alpha_y[v3] != add3[v3]:
                     self.stats.leaves += 1
                     continue
                 sub_f, sub_alpha = fy, alpha_y
             else:
-                sub_f, sub_alpha = restrict(fy, {v3: val3}), {**alpha_y, v3: val3}
+                sub_f, sub_alpha = restrict(fy, add3), {**alpha_y, **add3}
             if b3:
-                sub = self.node(sub_f, sub_alpha, path, ((fy, tb_set(fy, l3)),))
+                sub = yield sub_f, sub_alpha, path, ((fy, tb_set(fy, l3)),)
             else:
-                sub = self.node(sub_f, sub_alpha, self._close(path, False), ())
+                sub = yield sub_f, sub_alpha, self._close(path, False), ()
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
 
-    def fresh(self, f, alpha, path: _Path) -> Outcome:
+    def fresh(self, f, alpha, path: _Path) -> SearchGen:
         """Start a new chain: pretest a fresh literal, commit autarks and
         forced values without branching, split only when both sides produce
         new 2-clauses."""
@@ -392,12 +390,12 @@ class _Search:
         if forced is not None:
             # a forced value or an autark: commit it without branching
             up = up_restrict(f, forced.fixes)
-            return self.node(up.formula, {**alpha, **up.fixes}, path, ())
+            return (yield up.formula, {**alpha, **up.fixes}, path, ())
         self.stats.splits += 1
         child = replace(path.child(), splits=path.splits + (not path.credit))
         for tb in (tb0, tb1):
             up = up_restrict(f, tb.fixes)
-            sub = self.node(up.formula, {**alpha, **up.fixes}, child, ((f, tb),))
+            sub = yield up.formula, {**alpha, **up.fixes}, child, ((f, tb),)
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
@@ -416,7 +414,16 @@ def br_3(
     cfg = cfg or PhiConfig()
     stats = stats if stats is not None else Br3Stats()
     search = _Search(cfg, stats, trace)
-    out = search.node(f, {}, _Path(), ())
+    # the suspended nodes of the current path, the root first; a node is
+    # started with None and resumed with its last child's outcome
+    stack, out = [search.node(f, {}, _Path(), ())], None
+    while stack:
+        try:
+            stack.append(search.node(*stack[-1].send(out)))
+            out = None
+        except StopIteration as done:
+            stack.pop()
+            out = done.value
     if out.kind == "sat":
         total = {v: 0 for v in range(1, f.n + 1)}
         total.update(out.assignment)

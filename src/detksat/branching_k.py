@@ -18,7 +18,7 @@ from typing import Optional
 from .branching3 import Br3Stats, PhiConfig, br_3
 from .bounds import ck_recurrence
 from .chains import Chain, Instance, build_chain, build_instance, group_by_type
-from .formula import Formula, restrict, solve_2sat, verify_model
+from .formula import Formula, lit_values, restrict, solve_2sat, verify_model
 from .local_search import DlsStats, dls
 from .outcomes import Outcome
 
@@ -76,8 +76,7 @@ def br_k(
     for combo in iproduct(*pattern_sets):
         alpha: dict[int, int] = {}
         for chain, pat in zip(inst.chains, combo):
-            for lit, bit in zip(chain.clauses[0].lits, pat):
-                alpha[abs(lit)] = bit if lit > 0 else 1 - bit
+            alpha.update(lit_values(chain.clauses[0].lits, pat))
         if stats is not None:
             stats.branch_nodes += 1
         sub = solve_ksat(restrict(f, alpha), phi_cfg, stats, trace)

@@ -34,6 +34,7 @@ from .chains import (
     solution_space,
     SolutionSpace,
 )
+from .bounds import lambda_1chain
 from .formula import hamming
 
 SPACE_LIMIT = 4096
@@ -229,9 +230,8 @@ def closed_form_1chain(k: int) -> Characteristic:
     """Exact characteristic of the all-positive 1-chain on k variables."""
     if k < 3:
         raise CharacteristicError("k must be >= 3")
-    denom = (2 * k - 2) ** k - (k - 2) ** k
-    lam = Fraction(k**k, denom)
-    scale = Fraction((k - 1) ** k, denom)
+    lam = lambda_1chain(k)
+    scale = lam * Fraction(k - 1, k) ** k
     pi: dict[int, Fraction] = {}
     for w in range(1, 1 << k):
         d = w.bit_count()

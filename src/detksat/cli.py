@@ -81,9 +81,7 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     try:
         return _solve(f, args, phi)
-    except (VerificationError, CoverError, RecursionError) as e:
-        # a RecursionError: the branching recurses once per node, and a deep
-        # search exhausts the interpreter's recursion limit
+    except (VerificationError, CoverError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 

@@ -197,6 +197,11 @@ def serialize_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def lit_values(lits: Iterable[int], bits: Iterable[int]) -> dict[int, int]:
+    """The variable values that give each literal its truth bit."""
+    return {abs(l): b if l > 0 else 1 - b for l, b in zip(lits, bits)}
+
+
 def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
     """Fix variables per alpha: drop satisfied clauses, strip false literals.
 

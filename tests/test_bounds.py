@@ -27,6 +27,11 @@ class TestC3:
         nu = nu1_3sat()
         assert abs(math.log2(c3()) - nu * math.log2(3)) < 1e-12
 
+    def test_phi_default_is_c3(self):
+        from detksat.branching3 import PhiConfig
+
+        assert PhiConfig().c == c3() == 3.0 ** (math.log2(4 / 3) / math.log2(64 / 21))
+
 
 class TestRecurrence:
     def test_table_values(self):

@@ -128,9 +128,10 @@ class TestSolve:
         assert captured.err.startswith("error: brute force guard")
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "br", "--c", "1e9"]])
-    def test_search_deeper_than_stack_exit_1(self, tmp_path, mode):
+    def test_search_deeper_than_stack_decided(self, tmp_path, mode):
         # the branching reaches depth 44 on this instance; a recursion limit
-        # of 40 frames stands in for a deep search on a large input
+        # of 40 frames stands in for a deep search on a large input, which
+        # the explicit node stack does not touch
         from detksat.formula import serialize_dimacs
         from detksat.generator import gen_random_kcnf
 
@@ -146,9 +147,10 @@ class TestSolve:
             text=True,
             timeout=120,
         )
-        assert res.returncode == 1
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: maximum recursion depth exceeded")
+        assert res.returncode == 10
+        assert res.stderr == ""
+        rep = json.loads(res.stdout)
+        assert rep["verdict"] == "SAT" and rep["path"] == "BR-solved"
 
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
