@@ -25,7 +25,7 @@ for rec in reproduce_table2():
 print()
 print("=== breadth-first generation vs the reference rows ===")
 report = generate_chain_types()
-print("generated %d type records, %d open states" % (len(report.records), len(report.open_states)))
+print("generated %d type records" % len(report.records))
 missing = [d for d in report.reference_diff if "not generated" in d]
 print("reference rows missing from generation: %d" % len(missing))
 extras = [d for d in report.reference_diff if "not in reference" in d]

@@ -3,7 +3,7 @@ local search, and branching solvers."""
 
 __version__ = "0.1.0"
 
-from .bounds import BoundRow, balance_check, c3, ck_recurrence, degeneration_check
+from .bounds import BoundRow, balance_check, c3, ck_recurrence, degeneration_check, nu_k
 from .branching3 import (
     Br3Stats,
     PhiConfig,
@@ -15,12 +15,10 @@ from .branching3 import (
     tb_set,
 )
 from .branching_k import (
-    KSatConfig,
     SolveResult,
     SolveStats,
     br_k,
     greedy_maximal_1chains,
-    ksat_config,
     solve_ksat,
 )
 from .chains import (

@@ -7,6 +7,7 @@ local-search cost over 1-chain instances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,13 @@ def ck_recurrence(kmax: int) -> list[BoundRow]:
         ck = (2**k - 1) ** nu * cp ** (1 - k * nu)
         rows.append(BoundRow(k, ck, nu))
     return rows
+
+
+@functools.cache
+def nu_k(k: int) -> float:
+    """The threshold density of width k: the width-k branching hands an
+    instance with at least nu_k * n disjoint k-clauses to the local search."""
+    return ck_recurrence(k)[-1].nu
 
 
 @dataclass(frozen=True)

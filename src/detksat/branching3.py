@@ -22,14 +22,8 @@ from fractions import Fraction
 from typing import Callable, Container, Generator, Optional
 
 from .bounds import c3
-from .chains import (
-    ChainVector,
-    branch_number,
-    eta_of_zeta,
-    overlap_symbol,
-    transform,
-)
-from .characteristic import F1, f_raw, lambda_for_zeta
+from .chains import ChainVector, branch_number, overlap_symbol, transform
+from .characteristic import forced_termination, lambda_for_zeta
 from .formula import (
     Clause,
     Formula,
@@ -86,7 +80,8 @@ def tb_set(f: Formula, lit: int) -> TbResult:
     The members are the 3-clauses of f that the closure shortens by exactly
     one literal without satisfying them, returned as their indices in f.
     Neither the restricted formula nor a member clause is built (a caller
-    that commits the probe runs ``up_restrict(f, fixes)``). On a
+    that commits the probe runs ``restrict(f, fixes)``: the closure is
+    complete, so nothing is left to propagate). On a
     propagation conflict the member set is empty and the flag is set.
     """
     fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
@@ -139,9 +134,8 @@ def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
             # l2 is probed only when l1 is no autark
             tb2 = _probe(probes, f, l2) if tb1.conflict or tb1.src else tb1
             if not tb2.conflict and not tb2.src:  # an autark: commit it
-                up = up_restrict(f, tb2.fixes)
-                f = up.formula
-                fixes.update(up.fixes)
+                f = restrict(f, tb2.fixes)
+                fixes.update(tb2.fixes)
                 probes = {}  # a commit re-indexes the clauses
                 break
             # a member of one probe that contains the other literal
@@ -289,13 +283,9 @@ class _Search:
                 return self._leaf(Outcome.unsat())
             return self._leaf(Outcome.sat({**m, **alpha}))
         # forced termination: the open chain has TAU_CAP clauses, or the
-        # doubled-branch-number rule fires (f at 2b is at most F1, the
-        # 1-chain's value)
+        # doubled-branch-number rule fires
         z = path.zeta
-        if path.origs and (
-            len(path.origs) >= TAU_CAP
-            or f_raw(2 * branch_number(z), eta_of_zeta(z), lambda_for_zeta(z)) <= F1
-        ):
+        if path.origs and (len(path.origs) >= TAU_CAP or forced_termination(z, lambda_for_zeta(z))):
             return (yield f, alpha, self._close(path, True), ())
 
         sel = rule_upsilon(pending, alpha)
@@ -389,13 +379,11 @@ class _Search:
             forced = None
         if forced is not None:
             # a forced value or an autark: commit it without branching
-            up = up_restrict(f, forced.fixes)
-            return (yield up.formula, {**alpha, **up.fixes}, path, ())
+            return (yield restrict(f, forced.fixes), {**alpha, **forced.fixes}, path, ())
         self.stats.splits += 1
         child = replace(path.child(), splits=path.splits + (not path.credit))
         for tb in (tb0, tb1):
-            up = up_restrict(f, tb.fixes)
-            sub = yield up.formula, {**alpha, **up.fixes}, child, ((f, tb),)
+            sub = yield restrict(f, tb.fixes), {**alpha, **tb.fixes}, child, ((f, tb),)
             if sub.kind != "unsat":
                 return sub
         return Outcome.unsat()
@@ -411,6 +399,10 @@ def br_3(
     instance of chains for the local search."""
     if f.width() > 3:
         raise ValueError("br_3 expects a 3-CNF")
+    if any(c.lits != c.orig for c in f.clauses):
+        # the chains are built from the clauses given here, not from the
+        # wider clauses a width-k branching restricted them from
+        f = Formula(f.n, tuple(Clause(c.lits, c.lits) for c in f.clauses))
     cfg = cfg or PhiConfig()
     stats = stats if stats is not None else Br3Stats()
     search = _Search(cfg, stats, trace)

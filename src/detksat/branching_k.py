@@ -10,31 +10,16 @@ width <= 2 to the polynomial 2-SAT decision.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
 
 from .branching3 import Br3Stats, PhiConfig, br_3
-from .bounds import ck_recurrence
+from .bounds import nu_k
 from .chains import Chain, Instance, build_chain, build_instance, group_by_type
 from .formula import Formula, lit_values, restrict, solve_2sat, verify_model
 from .local_search import DlsStats, dls
 from .outcomes import Outcome
-
-
-@dataclass(frozen=True)
-class KSatConfig:
-    k: int
-    nu: float
-
-
-@functools.cache
-def ksat_config(k: int) -> KSatConfig:
-    """Threshold fraction for width k, seeded from the 3-SAT base."""
-    if k < 4:
-        raise ValueError("configs exist for k >= 4")
-    return KSatConfig(k, ck_recurrence(k)[-1].nu)
 
 
 def greedy_maximal_1chains(f: Formula) -> Instance:
@@ -60,19 +45,19 @@ def _patterns(k: int):
 
 def br_k(
     f: Formula,
-    cfg: KSatConfig,
     phi_cfg: Optional[PhiConfig] = None,
     stats: Optional["SolveStats"] = None,
     trace=None,
 ) -> Outcome:
     """Either solve by branching into the (k-1)-SAT solver, which gets
     ``phi_cfg`` and ``trace``, or return the instance for local search."""
-    if f.width() < 4:
+    k = f.width()
+    if k < 4:
         raise ValueError("br_k expects width >= 4")
     inst = greedy_maximal_1chains(f)
-    if len(inst) >= cfg.nu * f.n:
+    if len(inst) >= nu_k(k) * f.n:
         return Outcome.of_instance(inst)
-    pattern_sets = [_patterns(cfg.k) for _ in inst.chains]
+    pattern_sets = [_patterns(k) for _ in inst.chains]
     for combo in iproduct(*pattern_sets):
         alpha: dict[int, int] = {}
         for chain, pat in zip(inst.chains, combo):
@@ -125,7 +110,7 @@ def solve_ksat(
     if w == 3:
         out = br_3(f, phi_cfg, trace=trace, stats=stats.br3)
     else:
-        out = br_k(f, ksat_config(w), phi_cfg, stats, trace)
+        out = br_k(f, phi_cfg, stats, trace)
     if out.kind == "sat":
         stats.path = stats.path or "BR-solved"
         verify_model(f, out.assignment)

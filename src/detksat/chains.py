@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .formula import Clause, clause
 
@@ -303,50 +303,35 @@ class ChainVector:
 
 @dataclass
 class GenerationReport:
-    """Output of the type generator plus closure/reference diagnostics."""
+    """Output of the type generator plus the diff against the reference."""
 
     records: list[ChainTypeRecord]
-    open_states: list[str]
     reference_diff: list[str]
 
     def __iter__(self):
         return iter(self.records)
 
 
-def generate_chain_types(
-    f_threshold: Optional[float] = None, max_len: int = 8
-) -> GenerationReport:
+def generate_chain_types() -> GenerationReport:
     """Breadth-first generation of chain types for the 3-SAT branching.
 
-    From every prefix the natural termination is emitted; a prefix whose
-    doubled-branch-number f-value drops to the threshold is closed by the
-    forced (r2) termination and not extended; otherwise it extends by n, p
-    and t (t must be followed by termination or n). Emitted types are
-    deduplicated up to prefix reversal. States still extendable at max_len
-    are reported as open.
+    From every prefix the natural termination is emitted; a prefix on which
+    the doubled-branch-number rule fires is closed by the forced (r2)
+    termination and not extended; otherwise it extends by n, p and t (t must
+    be followed by termination or n). Emitted types are deduplicated up to
+    prefix reversal. The rule fires on every prefix of five symbols that the
+    generation reaches, so it ends.
     """
     from . import characteristic as ch
 
-    if max_len > 8:
-        raise ValueError("max_len guard: %d > 8" % max_len)
-    if f_threshold is None:
-        f_threshold = ch.f_raw(branch_number("*"), 3, Fraction(3, 7))
-
     records: list[ChainTypeRecord] = []
     emitted: set[tuple[str, bool]] = set()
-    open_states: list[str] = []
 
     def emit(body: str, r2: bool) -> None:
         z = canonical_zeta(body + "*")
-        if (z, r2) in emitted:
-            return
-        emitted.add((z, r2))
-        lam = ch.lambda_for_zeta(z)
-        b = branch_number(z, r2)
-        eta = eta_of_zeta(z)
-        records.append(
-            ChainTypeRecord(len(records) + 1, z, r2, b, eta, lam, ch.f_raw(b, eta, lam))
-        )
+        if (z, r2) not in emitted:
+            emitted.add((z, r2))
+            records.append(ch.type_record(len(records) + 1, z, r2, ch.lambda_for_zeta(z)))
 
     queue: list[str] = [""]
     while queue:
@@ -354,8 +339,7 @@ def generate_chain_types(
         fires = False
         if body:
             z = canonical_zeta(body + "*")
-            lam = ch.lambda_for_zeta(z)
-            fires = ch.f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= f_threshold
+            fires = ch.forced_termination(z, ch.lambda_for_zeta(z))
         if body.endswith("t"):
             # the composite two-negative node always produces some branches
             # whose next clause is independent, so the natural ending exists
@@ -370,15 +354,11 @@ def generate_chain_types(
             continue
         else:
             emit(body, False)
-        if len(body) >= max_len:
-            open_states.append(body)
-            continue
         ext = ["n"] if body.endswith("t") else ["n", "p", "t"]
         for s in ext:
             queue.append(body + s)
 
-    diff = _reference_diff(records)
-    return GenerationReport(records, open_states, diff)
+    return GenerationReport(records, _reference_diff(records))
 
 
 def _reference_diff(records: list[ChainTypeRecord]) -> list[str]:

@@ -264,6 +264,20 @@ def f_raw(b: Fraction, eta: int, lam: Fraction) -> float:
 F1 = f_raw(Fraction(3), 3, Fraction(3, 7))
 
 
+def forced_termination(z: str, lam: Fraction) -> bool:
+    """The doubled-branch-number rule: an open chain of type z and
+    characteristic value lam is closed once its f-value at twice its branch
+    number is at most F1, the 1-chain's value."""
+    return f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= F1
+
+
+def type_record(type_id: int, z: str, r2: bool, lam: Fraction) -> ChainTypeRecord:
+    """The chain-type row of type z, forced (r2) or natural, with value lam."""
+    b = branch_number(z, r2)
+    eta = eta_of_zeta(z)
+    return ChainTypeRecord(type_id, z, r2, b, eta, lam, f_raw(b, eta, lam))
+
+
 class Table2Error(AssertionError):
     pass
 
@@ -285,14 +299,12 @@ def reproduce_table2() -> list[ChainTypeRecord]:
             problems.append(
                 "type %d (%s): computed lambda %s, expected %s" % (type_id, z, lam, expected)
             )
-        b = branch_number(z, r2)
-        eta = eta_of_zeta(z)
-        f = f_raw(b, eta, lam)
-        if not ("%.10f" % f).startswith(f_prefix):
+        rec = type_record(type_id, z, r2, lam)
+        if not ("%.10f" % rec.f).startswith(f_prefix):
             problems.append(
-                "type %d (%s): f=%.7f does not extend prefix %s" % (type_id, z, f, f_prefix)
+                "type %d (%s): f=%.7f does not extend prefix %s" % (type_id, z, rec.f, f_prefix)
             )
-        records.append(ChainTypeRecord(type_id, z, r2, b, eta, lam, f))
+        records.append(rec)
     best = max(records, key=lambda r: r.f)
     if best.type_id != 1:
         problems.append("argmax f is type %d, expected 1" % best.type_id)

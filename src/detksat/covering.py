@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
 from types import MappingProxyType
@@ -419,7 +419,6 @@ class CoverageReport:
     checked: int
     sampled: bool
     uncovered_example: Optional[int] = None
-    sizes: dict[int, int] = field(default_factory=dict)
 
 
 def verify_coverage(
@@ -429,7 +428,6 @@ def verify_coverage(
 ) -> CoverageReport:
     """Check every (or, above the width limit, sampled) space word is within
     some entry's radius of one of its centers. Independent of construction."""
-    sizes = {r: len(cs) for r, cs in family.entries.items()}
     sampled = space.width > EXHAUSTIVE_VERIFY_LIMIT
     if sampled:
         words = _sample_words(space, samples)
@@ -443,7 +441,7 @@ def verify_coverage(
             break
     ok = bool(covered.all())
     example = None if ok else int(words[int(np.argmin(covered))])
-    return CoverageReport(ok, len(words), sampled, example, sizes)
+    return CoverageReport(ok, len(words), sampled, example)
 
 
 def _sample_words(space: StructuredSpace, samples: int) -> np.ndarray:

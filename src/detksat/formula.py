@@ -1,8 +1,9 @@
 """CNF formulas: DIMACS I/O, restriction, unit propagation, 2-SAT, brute force.
 
 Literals are signed DIMACS integers (variable v is ``v``/``-v``). Every clause
-remembers its original form, i.e. the clause of the unrestricted input it
-descends from; restriction and unit propagation preserve that reference.
+remembers its original form ``orig``: a clause of the formula the 3-SAT
+branching was given, which it descends from; restriction and unit
+propagation preserve that reference.
 A zero-literal clause is the falsified clause (bottom).
 
 Unit propagation computes the closure of an assignment over per-literal
@@ -46,11 +47,11 @@ class Clause:
         return "(" + " ".join(str(l) for l in self.lits) + ")" if self.lits else "(bot)"
 
 
-def clause(lits: Iterable[int], orig: Optional[Iterable[int]] = None) -> Clause:
+def clause(lits: Iterable[int]) -> Clause:
     lits = tuple(lits)
     if len({abs(l) for l in lits}) != len(lits):
         raise ValueError("duplicate variable in clause: %r" % (lits,))
-    return Clause(lits, tuple(orig) if orig is not None else lits)
+    return Clause(lits, lits)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ from detksat.branching_k import (
     SolveStats,
     br_k,
     greedy_maximal_1chains,
-    ksat_config,
     solve_ksat,
 )
+from detksat.bounds import nu_k
 from detksat.branching3 import PhiConfig
 from detksat.formula import brute_force_sat, formula, restrict, satisfies
 from detksat.generator import gen_random_kcnf
@@ -42,18 +42,16 @@ class TestGreedy:
 
 class TestConfig:
     def test_nu4(self):
-        cfg = ksat_config(4)
-        assert abs(cfg.nu - 0.07683) < 5e-5
-        assert 0 < cfg.nu < 0.25
+        assert abs(nu_k(4) - 0.07683) < 5e-5
+        assert 0 < nu_k(4) < 0.25
 
 
 class TestBrK:
     def test_single_clause_returns_instance(self):
         f = formula(4, [(1, 2, 3, 4)])
-        cfg = ksat_config(4)
         assert len(greedy_maximal_1chains(f)) == 1
-        assert 1 >= cfg.nu * f.n  # 0.307...
-        out = br_k(f, cfg)
+        assert 1 >= nu_k(4) * f.n  # 0.307...
+        out = br_k(f)
         assert out.kind == "instance"
         assert len(out.instance) == 1
 
@@ -61,11 +59,10 @@ class TestBrK:
         # single maximal chain but n large enough that 1 < nu*n
         cls = [(1, 2, 3, 4)] + [(1, i, i + 1, i + 2) for i in range(5, 12, 3)]
         f = formula(14, cls)
-        cfg = ksat_config(4)
-        assert cfg.nu * f.n > 1
+        assert nu_k(4) * f.n > 1
         inst = greedy_maximal_1chains(f)
         assert len(inst) == 1
-        out = br_k(f, cfg)
+        out = br_k(f)
         assert out.kind == "sat"
         assert satisfies(f, out.assignment)
 
@@ -98,7 +95,7 @@ class TestBrK:
                     for s4 in (1, -1):
                         pats.append((s1 * 1, s2 * 2, s3 * 3, s4 * 4))
         f = formula(14, pats)  # n large so the branch path runs
-        out = br_k(f, ksat_config(4))
+        out = br_k(f)
         assert out.kind == "unsat"
 
     def test_empty_formula(self):
@@ -218,3 +215,35 @@ class TestSolveKsat:
         if skip:
             return [dict(s) for s in out]
         return out
+
+
+def _hub_cnf(rng, n, m):
+    """A 4-CNF in which every clause holds variable 1 or 2 and the first
+    holds both, so its maximal set of disjoint clauses is that one clause."""
+    cls = []
+    for i in range(m):
+        hubs = [1, 2] if i == 0 else [rng.choice((1, 2))]
+        rest = rng.sample(range(3, n + 1), 4 - len(hubs))
+        cls.append(tuple(v * rng.choice((1, -1)) for v in hubs + rest))
+    return formula(n, cls)
+
+
+class TestHandoff:
+    def test_branch_then_br3_then_dls_match_oracle(self):
+        # n >= 14 puts one disjoint clause below nu_4 * n, so br_k branches
+        # and its 3-CNF sub-solves go to br_3, some of them on to the DLS
+        rng = random.Random(3)
+        branched = handed = 0
+        for _ in range(40):
+            n = rng.randint(14, 18)
+            f = _hub_cnf(rng, n, rng.randint(n // 3, n))
+            want = brute_force_sat(f)
+            for cfg in (None, PhiConfig(c=1.05)):
+                st = SolveStats()
+                res = solve_ksat(f, cfg, st)
+                assert res.verdict == ("SAT" if want is not None else "UNSAT")
+                if res.assignment is not None:
+                    assert satisfies(f, res.assignment)
+                branched += st.branch_nodes > 0
+                handed += st.dls.balls_searched > 0
+        assert branched == 80 and handed > 0

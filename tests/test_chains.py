@@ -208,7 +208,3 @@ class TestGenerator:
         # the closure is under-determined: the generator reports extras
         # beyond the 38 tabulated rows instead of guessing
         assert any("not in reference" in d for d in rep.reference_diff)
-
-    def test_max_len_guard(self):
-        with pytest.raises(ValueError):
-            generate_chain_types(max_len=9)

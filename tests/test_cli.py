@@ -152,6 +152,35 @@ class TestSolve:
         rep = json.loads(res.stdout)
         assert rep["verdict"] == "SAT" and rep["path"] == "BR-solved"
 
+    # 4-CNFs whose width-k branching hands 3-CNFs on to the 3-SAT branching:
+    # the chains there must be built from the 3-clauses, not the 4-clauses
+    # they were restricted from
+    HANDOFF_REPROS = {
+        "overlap": "p cnf 20 8\n-10 -11 -9 -5 0\n-11 -18 13 -16 0\n-10 -15 4 -3 0\n"
+        "-11 -14 -4 16 0\n-11 -13 -10 -8 0\n-11 -15 -2 8 0\n-10 -8 18 -4 0\n-10 14 4 15 0\n",
+        "instance": "p cnf 15 9\n2 -15 9 -5 0\n13 -15 -1 -10 0\n-4 7 -14 0\n-8 1 5 0\n"
+        "14 -11 8 0\n9 -13 7 0\n4 14 -7 0\n-1 -12 3 0\n10 13 11 0\n",
+    }
+
+    @pytest.mark.parametrize("repro", sorted(HANDOFF_REPROS))
+    @pytest.mark.parametrize("c", [[], ["--c", "1.05"]])
+    def test_width_k_handoff_decided(self, tmp_path, repro, c):
+        p = tmp_path / "handoff.cnf"
+        p.write_text(self.HANDOFF_REPROS[repro])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = "import sys; from detksat.cli import main; sys.exit(main(sys.argv[1:]))"
+        res = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(p)] + c,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 10, res.stderr
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["verdict"] == "SAT"
+
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
         from detksat.formula import serialize_dimacs
