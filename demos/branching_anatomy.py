@@ -42,8 +42,8 @@ lines = []
 out = br_3(f, PhiConfig(c=1.05), trace=lines.append, stats=st)
 for line in lines[:8]:
     print("  " + line)
-print("outcome:", out.kind, "| nodes:", st.nodes, "| leaves:", st.leaves)
-if out.kind == "instance":
+print("outcome:", out.verdict, "| nodes:", st.nodes, "| leaves:", st.leaves)
+if out.verdict == "INSTANCE":
     print("chains handed to local search:",
           [(zeta(ch.clauses), len(ch.clauses)) for ch in out.instance.chains])
 for ev in st.phi_events:

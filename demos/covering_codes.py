@@ -5,8 +5,6 @@
 3. The generalized family for a cube-times-chains product space.
 """
 
-from fractions import Fraction
-
 from detksat import (
     CubeFactor,
     PowerFactor,
@@ -40,7 +38,7 @@ print("joint coverage of all 49 words:", "ok" if rep.ok else "FAILED")
 print()
 print("=== generalized family: 4 free bits x one 1-chain ===")
 space = StructuredSpace((CubeFactor(4), PowerFactor((one_chain,))))
-fam = build_generalized_code(space, Fraction(1, 3), [lam], 3)
+fam = build_generalized_code(space, [lam], 3)
 print("space holds", space.count_words(), "words; family radii:", fam.radii())
 rep = verify_coverage(fam, space)
 print("coverage:", "ok" if rep.ok else "FAILED")

@@ -15,7 +15,6 @@ from .branching3 import (
     tb_set,
 )
 from .branching_k import (
-    SolveResult,
     SolveStats,
     br_k,
     greedy_maximal_1chains,
@@ -73,4 +72,4 @@ from .formula import (
 )
 from .generator import Lcg, gen_random_kcnf
 from .local_search import dls, searchball
-from .outcomes import Outcome
+from .outcomes import SolveResult

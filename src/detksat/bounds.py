@@ -36,8 +36,14 @@ class BoundRow:
     nu: float
 
 
-def round_up(x: float, digits: int = 5) -> float:
-    scale = 10**digits
+# the published bases are rounded up at this many digits
+ROUND_DIGITS = 5
+# the relative residual a balance check accepts
+BALANCE_TOL = 1e-10
+
+
+def round_up(x: float) -> float:
+    scale = 10**ROUND_DIGITS
     return math.ceil(x * scale) / scale
 
 
@@ -78,7 +84,7 @@ class BalanceReport:
     ok: bool
 
 
-def balance_check(k: int, tol: float = 1e-10) -> BalanceReport:
+def balance_check(k: int) -> BalanceReport:
     """Branching cost equals local-search cost at the computed threshold.
 
     For k >= 4: (2^k-1)^nu c_{k-1}^(1-k nu) vs (2(k-1)/k)^(1-k nu) lam^-nu.
@@ -89,7 +95,7 @@ def balance_check(k: int, tol: float = 1e-10) -> BalanceReport:
         lhs = nu * L(3)
         rhs = L(4 / 3) - nu * (3 * L(4 / 3) + L(3 / 7))
         rel = abs(lhs - rhs) / abs(rhs)
-        return BalanceReport(3, 2**lhs, 2**rhs, rel, rel <= tol)
+        return BalanceReport(3, 2**lhs, 2**rhs, rel, rel <= BALANCE_TOL)
     rows = {r.k: r for r in ck_recurrence(k)}
     nu = rows[k].nu
     cp = rows[k - 1].ck
@@ -97,7 +103,7 @@ def balance_check(k: int, tol: float = 1e-10) -> BalanceReport:
     lhs = (2**k - 1) ** nu * cp ** (1 - k * nu)
     rhs = (2 * (k - 1) / k) ** (1 - k * nu) * lam ** (-nu)
     rel = abs(lhs - rhs) / abs(rhs)
-    return BalanceReport(k, lhs, rhs, rel, rel <= tol)
+    return BalanceReport(k, lhs, rhs, rel, rel <= BALANCE_TOL)
 
 
 @dataclass(frozen=True)

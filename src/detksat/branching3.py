@@ -35,7 +35,7 @@ from .formula import (
     up_restrict,
     verify_model,
 )
-from .outcomes import Outcome
+from .outcomes import UNSAT, SolveResult
 
 
 # the longest open chain: at this many clauses it is closed
@@ -240,7 +240,7 @@ class _Path:
 
 # a node's search, run by ``br_3``: it yields each child as its ``node``
 # arguments, is sent the child's outcome, and returns its own
-SearchGen = Generator[tuple[Formula, dict[int, int], _Path, Probes], Outcome, Outcome]
+SearchGen = Generator[tuple[Formula, dict[int, int], _Path, Probes], SolveResult, SolveResult]
 
 
 class _Search:
@@ -257,7 +257,7 @@ class _Search:
         closed = path.closed + (_ClosedChain(path.origs, z, r2),)
         return replace(path, closed=closed, origs=(), syms="", credit=True)
 
-    def _leaf(self, outcome: Outcome) -> Outcome:
+    def _leaf(self, outcome: SolveResult) -> SolveResult:
         self.stats.leaves += 1
         return outcome
 
@@ -270,18 +270,18 @@ class _Search:
         if fixes:
             alpha = {**alpha, **fixes}
         if f.has_bottom:
-            return self._leaf(Outcome.unsat())
+            return self._leaf(UNSAT)
         typed = path.typed()
         vec = ChainVector.from_typed_chains(typed)
         if condition_phi(vec, f.n, self.cfg):
             self.stats.phi_events.append(PhiEvent(self.stats.leaves, path.product(), len(typed)))
             seq = [c for ch in path.closed for c in ch.origs] + list(path.origs)
-            return Outcome.of_instance(transform(seq))
+            return SolveResult("INSTANCE", instance=transform(seq))
         if f.width() <= 2:
             m = solve_2sat(f)
             if m is None:
-                return self._leaf(Outcome.unsat())
-            return self._leaf(Outcome.sat({**m, **alpha}))
+                return self._leaf(UNSAT)
+            return self._leaf(SolveResult("SAT", {**m, **alpha}))
         # forced termination: the open chain has TAU_CAP clauses, or the
         # doubled-branch-number rule fires
         z = path.zeta
@@ -293,7 +293,7 @@ class _Search:
             # a conflicting seed is a unit consequence against this branch;
             # one without a usable member falls through to a fresh literal
             if pending and all(tb.conflict for _, tb in pending):
-                return self._leaf(Outcome.unsat())
+                return self._leaf(UNSAT)
             if path.origs:
                 return (yield f, alpha, self._close(path, True), ())
             return (yield from self.fresh(f, alpha, path))
@@ -322,9 +322,9 @@ class _Search:
             add = lit_values((u, w), bits)
             seeds = tuple(p for p, b in zip(probes, bits) if b)
             sub = yield restrict(f, add), {**alpha, **add}, path.child(), seeds
-            if sub.kind != "unsat":
+            if sub.verdict != "UNSAT":
                 return sub
-        return Outcome.unsat()
+        return UNSAT
 
     def _bundle(self, f, alpha, path: _Path, uw, orig) -> SearchGen:
         """The two-negative composite: the clause ``orig`` joins the open
@@ -356,9 +356,9 @@ class _Search:
                 sub = yield sub_f, sub_alpha, path, ((fy, tb_set(fy, l3)),)
             else:
                 sub = yield sub_f, sub_alpha, self._close(path, False), ()
-            if sub.kind != "unsat":
+            if sub.verdict != "UNSAT":
                 return sub
-        return Outcome.unsat()
+        return UNSAT
 
     def fresh(self, f, alpha, path: _Path) -> SearchGen:
         """Start a new chain: pretest a fresh literal, commit autarks and
@@ -368,7 +368,7 @@ class _Search:
         tb1 = tb_set(f, x)
         tb0 = tb_set(f, -x)
         if tb1.conflict and tb0.conflict:
-            return self._leaf(Outcome.unsat())
+            return self._leaf(UNSAT)
         if tb1.conflict:
             forced = tb0
         elif tb0.conflict or not tb1.src:
@@ -384,9 +384,9 @@ class _Search:
         child = replace(path.child(), splits=path.splits + (not path.credit))
         for tb in (tb0, tb1):
             sub = yield restrict(f, tb.fixes), {**alpha, **tb.fixes}, child, ((f, tb),)
-            if sub.kind != "unsat":
+            if sub.verdict != "UNSAT":
                 return sub
-        return Outcome.unsat()
+        return UNSAT
 
 
 def br_3(
@@ -394,7 +394,7 @@ def br_3(
     cfg: Optional[PhiConfig] = None,
     trace: Optional[Callable[[str], None]] = None,
     stats: Optional[Br3Stats] = None,
-) -> Outcome:
+) -> SolveResult:
     """Run the 3-SAT branching: a satisfying assignment, unsatisfiable, or an
     instance of chains for the local search."""
     if f.width() > 3:
@@ -416,9 +416,9 @@ def br_3(
         except StopIteration as done:
             stack.pop()
             out = done.value
-    if out.kind == "sat":
+    if out.verdict == "SAT":
         total = {v: 0 for v in range(1, f.n + 1)}
         total.update(out.assignment)
         verify_model(f, total)
-        return Outcome.sat(total)
+        return SolveResult("SAT", total)
     return out

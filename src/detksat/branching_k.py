@@ -16,10 +16,10 @@ from typing import Optional
 
 from .branching3 import Br3Stats, PhiConfig, br_3
 from .bounds import nu_k
-from .chains import Chain, Instance, build_chain, build_instance, group_by_type
+from .chains import Chain, Instance, build_chain, build_instance
 from .formula import Formula, lit_values, restrict, solve_2sat, verify_model
 from .local_search import DlsStats, dls
-from .outcomes import Outcome
+from .outcomes import UNSAT, SolveResult, answer
 
 
 def greedy_maximal_1chains(f: Formula) -> Instance:
@@ -48,7 +48,7 @@ def br_k(
     phi_cfg: Optional[PhiConfig] = None,
     stats: Optional["SolveStats"] = None,
     trace=None,
-) -> Outcome:
+) -> SolveResult:
     """Either solve by branching into the (k-1)-SAT solver, which gets
     ``phi_cfg`` and ``trace``, or return the instance for local search."""
     k = f.width()
@@ -56,7 +56,7 @@ def br_k(
         raise ValueError("br_k expects width >= 4")
     inst = greedy_maximal_1chains(f)
     if len(inst) >= nu_k(k) * f.n:
-        return Outcome.of_instance(inst)
+        return SolveResult("INSTANCE", instance=inst)
     pattern_sets = [_patterns(k) for _ in inst.chains]
     for combo in iproduct(*pattern_sets):
         alpha: dict[int, int] = {}
@@ -66,10 +66,8 @@ def br_k(
             stats.branch_nodes += 1
         sub = solve_ksat(restrict(f, alpha), phi_cfg, stats, trace)
         if sub.verdict == "SAT":
-            total = dict(sub.assignment)
-            total.update(alpha)
-            return Outcome.sat(total)
-    return Outcome.unsat()
+            return SolveResult("SAT", {**sub.assignment, **alpha})
+    return UNSAT
 
 
 @dataclass
@@ -81,12 +79,6 @@ class SolveStats:
     chain_vector: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    verdict: str  # "SAT" | "UNSAT"
-    assignment: Optional[dict[int, int]] = None
-
-
 def solve_ksat(
     f: Formula,
     phi_cfg: Optional[PhiConfig] = None,
@@ -94,35 +86,24 @@ def solve_ksat(
     trace=None,
 ) -> SolveResult:
     """Full pipeline: branching either solves the formula or yields an
-    instance, which the derandomized local search finishes."""
+    instance, which the derandomized local search finishes, so the answer
+    is SAT or UNSAT."""
     stats = stats if stats is not None else SolveStats()
-    if f.has_bottom:
-        stats.path = stats.path or "BR-solved"
-        return SolveResult("UNSAT")
     w = f.width()
-    if w <= 2:
+    if f.has_bottom:
+        out = UNSAT
+    elif w <= 2:
         stats.path = stats.path or "2SAT"
-        m = solve_2sat(f)
-        if m is None:
-            return SolveResult("UNSAT")
-        verify_model(f, m)
-        return SolveResult("SAT", m)
-    if w == 3:
+        out = answer(solve_2sat(f))
+    elif w == 3:
         out = br_3(f, phi_cfg, trace=trace, stats=stats.br3)
     else:
         out = br_k(f, phi_cfg, stats, trace)
-    if out.kind == "sat":
-        stats.path = stats.path or "BR-solved"
+    if out.verdict == "INSTANCE":
+        stats.path = "DLS"
+        stats.chain_vector = out.instance.type_counts()
+        out = answer(dls(f, out.instance, stats=stats.dls))
+    stats.path = stats.path or "BR-solved"
+    if out.verdict == "SAT":
         verify_model(f, out.assignment)
-        return SolveResult("SAT", out.assignment)
-    if out.kind == "unsat":
-        stats.path = stats.path or "BR-solved"
-        return SolveResult("UNSAT")
-    stats.path = "DLS"
-    inst = out.instance
-    stats.chain_vector = {key: len(g) for key, g in group_by_type(inst.chains).items()}
-    hit = dls(f, inst, stats=stats.dls)
-    if hit is None:
-        return SolveResult("UNSAT")
-    verify_model(f, hit)
-    return SolveResult("SAT", hit)
+    return out

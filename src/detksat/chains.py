@@ -90,6 +90,10 @@ class Instance:
     def __len__(self) -> int:
         return len(self.chains)
 
+    def type_counts(self) -> dict[str, int]:
+        """Number of chains of each canonical type, in first-occurrence order."""
+        return {key: len(g) for key, g in group_by_type(self.chains).items()}
+
 
 def build_instance(chains: Sequence[Chain]) -> Instance:
     seen: set[int] = set()

@@ -19,7 +19,7 @@ from . import __version__
 from .bounds import KMAX, ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
-from .chains import canonical_realization, group_by_type, solution_space
+from .chains import canonical_realization, solution_space
 from .characteristic import Table2Error, reproduce_table2
 from .covering import (
     CoverError,
@@ -40,6 +40,7 @@ from .formula import (
 )
 from .generator import gen_random_kcnf
 from .local_search import dls, group_lambda
+from .outcomes import SolveResult, answer
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -47,10 +48,11 @@ EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 
 
-def _report(verdict, assignment, path, stats: SolveStats, extra=None):
+def _report(res: SolveResult, path, stats: SolveStats):
+    head = {"verdict": res.verdict} if res.instance is None else {}
     rep = {
         "schema": 1,
-        "verdict": verdict,
+        **head,
         "path": path,
         "stats": {
             "branch_nodes": stats.branch_nodes + stats.br3.nodes,
@@ -60,10 +62,10 @@ def _report(verdict, assignment, path, stats: SolveStats, extra=None):
             "chain_vector": stats.chain_vector,
         },
     }
-    if assignment is not None:
-        rep["assignment"] = "".join(str(assignment[v]) for v in sorted(assignment))
-    if extra:
-        rep.update(extra)
+    if res.assignment is not None:
+        rep["assignment"] = "".join(str(res.assignment[v]) for v in sorted(res.assignment))
+    if res.instance is not None:
+        rep.update(outcome="instance", chains=res.instance.type_counts())
     return rep
 
 
@@ -86,13 +88,13 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
 
 
-def _verdict(f, m, path, stats: SolveStats) -> int:
-    """Report SAT with the model m, checked against f first, or UNSAT when m
-    is None."""
-    if m is not None:
-        verify_model(f, m)
-    print(json.dumps(_report("SAT" if m is not None else "UNSAT", m, path, stats)))
-    return EXIT_SAT if m is not None else EXIT_UNSAT
+def _verdict(f, res: SolveResult, path, stats: SolveStats) -> int:
+    """Report the answer: SAT with its model, checked against f first, UNSAT,
+    or the instance the branching hands to the local search (exit 0)."""
+    if res.verdict == "SAT":
+        verify_model(f, res.assignment)
+    print(json.dumps(_report(res, path, stats)))
+    return {"SAT": EXIT_SAT, "UNSAT": EXIT_UNSAT}.get(res.verdict, 0)
 
 
 def _solve(f, args, phi) -> int:
@@ -105,26 +107,20 @@ def _solve(f, args, phi) -> int:
         except ValueError as e:  # the size guard
             print("error: %s" % e, file=sys.stderr)
             return EXIT_ERROR
-        return _verdict(f, m, "oracle", stats)
+        return _verdict(f, answer(m), "oracle", stats)
     if args.mode == "dls":
-        return _verdict(f, dls(f, None, stats=stats.dls), "DLS", stats)
+        return _verdict(f, answer(dls(f, None, stats=stats.dls)), "DLS", stats)
     if args.mode == "br":
         if f.width() > 3:
             print("error: --mode br is the 3-SAT branching; width > 3", file=sys.stderr)
             return EXIT_ERROR
         out = br_3(f, phi, trace=trace, stats=stats.br3)
-        if out.kind == "instance":
-            vec = {key: len(g) for key, g in group_by_type(out.instance.chains).items()}
-            rep = _report(None, None, "BR", stats, {"outcome": "instance", "chains": vec})
-            rep.pop("verdict")
-            print(json.dumps(rep))
-            return 0
-        return _verdict(f, out.assignment, "BR-solved", stats)
+        return _verdict(f, out, "BR" if out.verdict == "INSTANCE" else "BR-solved", stats)
     if f.width() > KMAX:
         print("error: width guard: clause width %d > %d" % (f.width(), KMAX), file=sys.stderr)
         return EXIT_ERROR
     res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
-    return _verdict(f, res.assignment, stats.path, stats)
+    return _verdict(f, res, stats.path, stats)
 
 
 def _cmd_gen(args) -> int:

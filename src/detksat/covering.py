@@ -378,17 +378,10 @@ def _ell_cover_shapes(
     return CodeFamily(width, entries, "ell-family nu=%d ell=%d" % (nu, ell))
 
 
-def build_generalized_code(
-    space: StructuredSpace,
-    rho: Fraction,
-    lams: Sequence[Fraction],
-    k: int,
-) -> CodeFamily:
-    """Family for a cube-times-chains space: cube covered at ceil(rho*n'),
+def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: int) -> CodeFamily:
+    """Family for a cube-times-chains space: cube covered at ceil(n'/k),
     each chain-group by its ell-family, combined by the radius-summing
     ``product_code``."""
-    if not (0 < rho < Fraction(1, 2)):
-        raise CoverError("rho must lie in (0, 1/2)")
     cube_widths = [f.width for f in space.factors if isinstance(f, CubeFactor)]
     if len(cube_widths) > 1:
         raise CoverError("at most one cube factor")
@@ -402,7 +395,7 @@ def build_generalized_code(
         if isinstance(f, PowerFactor):
             families.append(ell_cover_spaces(f.spaces, k, next(lam_iter)))
         elif f.width:
-            families.append(cover_cube(f.width, math.ceil(rho * f.width)))
+            families.append(cover_cube(f.width, -(-f.width // k)))
     return replace(
         product_code(families),
         description="generalized family over width %d" % space.width,

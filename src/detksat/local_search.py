@@ -133,7 +133,7 @@ def dls(
         # no variables at all: the empty assignment decides it
         alpha = {v: 0 for v in range(1, f.n + 1)}
         return alpha if satisfies(f, alpha) else None
-    family = build_generalized_code(space, Fraction(1, k), lams, k)
+    family = build_generalized_code(space, lams, k)
     if stats is not None:
         stats.code_sizes = {r: len(cs) for r, cs in family.entries.items()}
     coord_vars = space.coordinate_variables()

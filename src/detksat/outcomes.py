@@ -1,4 +1,4 @@
-"""Shared result type for the branching solvers."""
+"""The one answer type of every solver."""
 
 from __future__ import annotations
 
@@ -9,19 +9,18 @@ from .chains import Instance
 
 
 @dataclass(frozen=True)
-class Outcome:
-    kind: str  # "sat" | "unsat" | "instance"
+class SolveResult:
+    """"SAT" with a model, "UNSAT", or, from the branchings only, "INSTANCE":
+    the chains they hand to the local search."""
+
+    verdict: str  # "SAT" | "UNSAT" | "INSTANCE"
     assignment: Optional[dict[int, int]] = None
     instance: Optional[Instance] = None
 
-    @staticmethod
-    def sat(assignment: dict[int, int]) -> "Outcome":
-        return Outcome("sat", assignment=assignment)
 
-    @staticmethod
-    def unsat() -> "Outcome":
-        return Outcome("unsat")
+UNSAT = SolveResult("UNSAT")
 
-    @staticmethod
-    def of_instance(inst: Instance) -> "Outcome":
-        return Outcome("instance", instance=inst)
+
+def answer(model: Optional[dict[int, int]]) -> SolveResult:
+    """SAT with ``model``, or UNSAT when there is none."""
+    return UNSAT if model is None else SolveResult("SAT", model)

@@ -149,9 +149,7 @@ def test_criterion_06_coverage_soundness():
             ]
             space = StructuredSpace(tuple(factors))
             assert space.width <= 20
-            fam = build_generalized_code(
-                space, Fraction(1, 3), [lambda_for_zeta(z) for z in zs], 3
-            )
+            fam = build_generalized_code(space, [lambda_for_zeta(z) for z in zs], 3)
             rep = verify_coverage(fam, space)
             assert rep.ok and not rep.sampled, (n0, zs)
             checked += 1

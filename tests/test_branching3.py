@@ -186,7 +186,7 @@ class TestBundle:
         )
         st = Br3Stats()
         out = br_3(f, PhiConfig(c=1e9), stats=st)
-        assert out.kind == "sat"
+        assert out.verdict == "SAT"
         assert satisfies(f, out.assignment)
 
 
@@ -198,14 +198,14 @@ class TestBr3:
             f = gen_random_kcnf(3, n, rng.randint(4, round(5.5 * n)), rng.randint(0, 10**7))
             out = br_3(f, PhiConfig(c=1e9))
             want = brute_force_sat(f)
-            assert (out.kind == "sat") == (want is not None)
-            if out.kind == "sat":
+            assert (out.verdict == "SAT") == (want is not None)
+            if out.verdict == "SAT":
                 assert satisfies(f, out.assignment)
 
     def test_unsat_contradiction(self):
         pats = [(s1 * 1, s2 * 2, s3 * 3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
         f = formula(3, pats)
-        assert br_3(f, PhiConfig(c=1e9)).kind == "unsat"
+        assert br_3(f, PhiConfig(c=1e9)).verdict == "UNSAT"
 
     def test_phi_trigger_yields_valid_instance(self):
         triggered = 0
@@ -213,7 +213,7 @@ class TestBr3:
             f = gen_random_kcnf(3, 12, 51, seed)
             st = Br3Stats()
             out = br_3(f, PhiConfig(c=1.05), stats=st)
-            if out.kind == "instance":
+            if out.verdict == "INSTANCE":
                 triggered += 1
                 inst = out.instance
                 # chains are variable-disjoint 3-CNF chains over formula clauses
@@ -251,7 +251,7 @@ class TestBr3:
             f = gen_random_kcnf(3, 13, 55, seed)
             st = Br3Stats()
             out = br_3(f, PhiConfig(c=1.05), stats=st)
-            if out.kind != "instance":
+            if out.verdict != "INSTANCE":
                 continue
             seen += 1
             ev = st.phi_events[-1]
@@ -286,9 +286,9 @@ class TestBr3:
 
 
 # The exact work of the branching on the instances the tests above solve: per
-# seed, (kind, nodes, leaves, splits, max_depth, closed chains, Phi events),
-# plus one digest over every outcome, every Br3Stats field and every trace
-# line. A change that only restructures the search keeps all of them.
+# seed, (verdict initial, nodes, leaves, splits, max_depth, closed chains, Phi
+# events), plus one digest over every answer's verdict, assignment and
+# instance, every Br3Stats field and every trace line. A change that only restructures the search keeps all of them.
 PINNED_WORK = {
     (13, 55, 1.05): [
         ('u', 9, 6, 1, 2, 0, 0), ('u', 9, 6, 1, 2, 0, 0), ('s', 6, 4, 1, 2, 0, 0), ('i', 4, 1, 1, 2, 0, 1),
@@ -321,7 +321,7 @@ PINNED_WORK = {
         ('u', 9, 6, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
     ],
 }
-PINNED_DIGEST = "430608907e2415760ecb18dc70eca81fbb8485d94070eadc2945c3ca73226c8a"
+PINNED_DIGEST = "679e7914aa58b29f1efaa6a6b5af619ebce46fc3839d425f3d5e05e5fbc250c7"
 
 
 class TestPinnedWork:
@@ -334,9 +334,9 @@ class TestPinnedWork:
                 lines = []
                 out = br_3(gen_random_kcnf(3, n, m, seed), PhiConfig(c=c), trace=lines.append, stats=st)
                 got.append(
-                    (out.kind[0], st.nodes, st.leaves, st.splits, st.max_depth, len(st.closed_zetas), len(st.phi_events))
+                    (out.verdict[0].lower(), st.nodes, st.leaves, st.splits, st.max_depth, len(st.closed_zetas), len(st.phi_events))
                 )
-                h.update(repr((out, st, lines)).encode())
+                h.update(repr((out.verdict, out.assignment, out.instance, st, lines)).encode())
             assert got == want, (n, m, c)
         assert h.hexdigest() == PINNED_DIGEST
 

@@ -52,7 +52,7 @@ class TestBrK:
         assert len(greedy_maximal_1chains(f)) == 1
         assert 1 >= nu_k(4) * f.n  # 0.307...
         out = br_k(f)
-        assert out.kind == "instance"
+        assert out.verdict == "INSTANCE"
         assert len(out.instance) == 1
 
     def test_branch_path_when_below_threshold(self):
@@ -63,7 +63,7 @@ class TestBrK:
         inst = greedy_maximal_1chains(f)
         assert len(inst) == 1
         out = br_k(f)
-        assert out.kind == "sat"
+        assert out.verdict == "SAT"
         assert satisfies(f, out.assignment)
 
     def test_sub_solves_get_phi_config_and_trace(self, monkeypatch):
@@ -96,7 +96,7 @@ class TestBrK:
                         pats.append((s1 * 1, s2 * 2, s3 * 3, s4 * 4))
         f = formula(14, pats)  # n large so the branch path runs
         out = br_k(f)
-        assert out.kind == "unsat"
+        assert out.verdict == "UNSAT"
 
     def test_empty_formula(self):
         f = formula(4, [])

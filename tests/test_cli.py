@@ -55,6 +55,16 @@ class TestSolve:
         code = main(["solve", sat_file, "--mode", "br"])
         assert code in (0, 10)
 
+    def test_br_mode_instance_report(self, tmp_path, capsys):
+        # the branching hands this formula to the local search at c = 1.05
+        p = tmp_path / "inst.cnf"
+        assert main(["gen", "--k", "3", "--n", "20", "--m", "85", "--seed", "0", "--out", str(p)]) == 0
+        assert main(["solve", str(p), "--mode", "br", "--c", "1.05"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == ["schema", "path", "stats", "outcome", "chains"]
+        assert rep["path"] == "BR" and rep["outcome"] == "instance"
+        assert rep["chains"] == {"*": 1}
+
     def test_not_utf8_exit_1(self, tmp_path, capsys):
         p = tmp_path / "latin.cnf"
         p.write_bytes(b"p cnf 2 1\n1 \xff 0\n")

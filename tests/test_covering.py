@@ -347,7 +347,7 @@ class TestEllFamily:
 class TestGeneralized:
     def test_cube_only_reduces_to_single_radius(self):
         space = StructuredSpace((CubeFactor(6),))
-        fam = build_generalized_code(space, Fraction(1, 3), [], 3)
+        fam = build_generalized_code(space, [], 3)
         assert fam.radii() == [2]
         rep = verify_coverage(fam, space)
         assert rep.ok and not rep.sampled
@@ -355,31 +355,26 @@ class TestGeneralized:
     def test_power_only_equals_ell_family(self):
         sp = solution_space(canonical_realization("*"))
         space = StructuredSpace((PowerFactor((sp,)),))
-        fam = build_generalized_code(space, Fraction(1, 3), [Fraction(3, 7)], 3)
+        fam = build_generalized_code(space, [Fraction(3, 7)], 3)
         direct = ell_cover_spaces((sp,), 3, Fraction(3, 7))
         assert fam.entries == direct.entries
 
     def test_cube_plus_chain(self):
         sp = solution_space(canonical_realization("*"))
         space = StructuredSpace((CubeFactor(4), PowerFactor((sp,))))
-        fam = build_generalized_code(space, Fraction(1, 3), [Fraction(3, 7)], 3)
+        fam = build_generalized_code(space, [Fraction(3, 7)], 3)
         assert space.count_words() == 112
         rep = verify_coverage(fam, space)
         assert rep.ok and rep.checked == 112
-        # radii run from ceil(rho*4) upward
+        # radii run from ceil(4/3) upward
         assert min(fam.radii()) == 2
-
-    def test_rho_range_enforced(self):
-        space = StructuredSpace((CubeFactor(4),))
-        with pytest.raises(CoverError):
-            build_generalized_code(space, Fraction(1, 2), [], 3)
 
     def test_determinism(self, monkeypatch):
         sp = solution_space(canonical_realization("n*"))
         space = StructuredSpace((CubeFactor(5), PowerFactor((sp,))))
         lam = lambda_for_zeta("n*")
-        a = build_generalized_code(space, Fraction(1, 3), [lam], 3)
-        b = fresh(monkeypatch, "build_generalized_code", space, Fraction(1, 3), [lam], 3)
+        a = build_generalized_code(space, [lam], 3)
+        b = fresh(monkeypatch, "build_generalized_code", space, [lam], 3)
         assert a.entries == b.entries
 
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -54,7 +53,7 @@ def _ref_dls(f, inst):
     center by center in radius order. Returns the hit and the balls searched."""
     k = max(3, f.width())
     space, lams = structured_space_for(f, inst, k)
-    fam = build_generalized_code(space, Fraction(1, k), lams, k)
+    fam = build_generalized_code(space, lams, k)
     coord_vars = space.coordinate_variables()  # every variable, once
     balls = 0
     for r in fam.radii():
@@ -236,7 +235,6 @@ class TestDls:
         # instance holding one 1-chain: no center assigns the excluded word
         from detksat.characteristic import characteristic_for_chain, lambda_for_zeta
         from detksat.covering import build_generalized_code
-        from fractions import Fraction
 
         f = formula(6, [(1, 2, 3), (4, 5, 6)])
         chain = build_chain([f.clauses[0]], 3)
@@ -244,7 +242,7 @@ class TestDls:
         for k, want in wants.items():
             space, lams = structured_space_for(f, build_instance([chain]), k)
             assert lams == [want]
-            fam = build_generalized_code(space, Fraction(1, k), lams, k)
+            fam = build_generalized_code(space, lams, k)
             pos = {v: i for i, v in enumerate(space.coordinate_variables())}
             for r in fam.radii():
                 for c in fam.entries[r]:
