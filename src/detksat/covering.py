@@ -281,6 +281,15 @@ def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
     order = sorted(range(len(widths)), key=lambda i: (-(quotas[i] - int(quotas[i])), i))
     for i in order[:short]:
         radii[i] += 1
+    # a radius-r code of {0,1}^w has at least 2^w / V(w, r) centers (the
+    # sphere-covering bound), so the product of these bounds is a lower bound
+    # on the product code's size: an oversized code is refused before any
+    # block is built
+    least = math.prod(
+        -(-(1 << w) // sum(math.comb(w, i) for i in range(r + 1))) for w, r in zip(widths, radii)
+    )
+    if least > CODE_SIZE_LIMIT:
+        raise CoverError("code size guard: at least %d centers > %d" % (least, CODE_SIZE_LIMIT))
     parts = [cover_cube(w, r) for w, r in zip(widths, radii)]
     return replace(
         product_code(parts), description="cube width %d (blocks %s)" % (width, widths)

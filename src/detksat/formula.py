@@ -106,6 +106,12 @@ class Formula:
         return tuple(tables)
 
     @cached_property
+    def clause_bits(self) -> tuple[tuple[int, ...], ...]:
+        """Per clause, the word bit (1 << v-1) of each literal's variable,
+        in literal order. Built on first use."""
+        return tuple(tuple(1 << (abs(l) - 1) for l in c.lits) for c in self.clauses)
+
+    @cached_property
     def widths(self) -> tuple[int, ...]:
         """Number of literals of each clause."""
         return tuple(len(c.lits) for c in self.clauses)

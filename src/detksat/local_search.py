@@ -2,12 +2,13 @@
 bounded-radius ball search.
 
 searchball branches on the literals of the first unsatisfied clause with a
-shrinking flip budget; it finds a satisfying assignment within Hamming
-distance r of the start iff one exists. Its state is an assignment word, and
-the unsatisfied clauses of a word are one bitset taken from the formula's
-per-byte tables (``Formula.byte_sat_tables``), and a word whose sub-ball was
-already searched with at least the same budget and found empty is not
-expanded again. dls builds the generalized
+shrinking flip budget and never flips a variable back to its value at the
+center; it finds a satisfying assignment within Hamming distance r of the
+start iff one exists. Its state is an assignment word: the unsatisfied
+clauses of a word are one bitset taken from the formula's per-byte tables
+(``Formula.byte_sat_tables``), a flip is an XOR with a precomputed variable
+bit (``Formula.clause_bits``), and a word whose sub-ball was already searched
+and found empty is not expanded again. dls builds the generalized
 covering family for the formula's structured space (free-variable cube times
 chain solution spaces) and runs searchball from every center, ascending by
 radius.
@@ -35,26 +36,28 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
 
     In a word, bit v-1 is the value of variable v. Deterministic: always
     branches the first unsatisfied clause in clause order, setting its
-    literals true in clause order, one unit of budget per flip. Returns the
-    first satisfying word found, or None if the ball holds none.
+    literals true in clause order, one unit of budget per flip, and never
+    flips a variable back: a literal whose variable already differs from
+    ``center`` is skipped. Returns the first satisfying word found in that
+    order, or None if the ball holds none.
 
-    A sub-ball found empty is not searched again: a word reached a second
-    time (by flips in another order) with the same or a smaller budget is
-    cut off at once. The search is complete, so a cut subtree holds no
-    satisfying word and the first hit is the one the uncut search finds.
-    The table of empty sub-balls lives for one call.
+    The search is complete (Dantsin et al. 2002): take a solution s within
+    distance r. A word reached by flipping only variables on which s differs
+    from the center agrees with s on each of them, so a literal of its
+    branched clause that s sets true is on an unflipped variable and is not
+    skipped; following such literals reaches s. Every flip moves one step
+    away from the center, so a word w is always reached with budget
+    r - |w ^ center|, and a word whose sub-ball was searched and found empty
+    is not expanded again. The set of such words lives for one call.
     """
     if f.has_bottom:
         raise ValueError("bottom clause present")
     if r < 0:
         raise ValueError("negative radius")
-    clauses = f.clauses
-    full = (1 << len(clauses)) - 1
+    full = (1 << len(f.clauses)) - 1
     tables = f.byte_sat_tables
-
-    # word -> largest budget whose sub-ball around it was searched and found
-    # empty; a smaller ball around the same word is a subset, so it is empty too
-    empty: dict[int, int] = {}
+    flips = f.clause_bits
+    empty: set[int] = set()
 
     def rec(w: int, budget: int) -> Optional[int]:
         sat = 0
@@ -65,14 +68,17 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
         unsat = full & ~sat
         if not unsat:
             return w
-        if budget == 0 or empty.get(w, 0) >= budget:
+        if budget == 0 or w in empty:
             return None
-        for l in clauses[(unsat & -unsat).bit_length() - 1].lits:
-            bit = 1 << (abs(l) - 1)
-            hit = rec(w | bit if l > 0 else w & ~bit, budget - 1)
-            if hit is not None:
-                return hit
-        empty[w] = budget
+        moved = w ^ center
+        for bit in flips[(unsat & -unsat).bit_length() - 1]:
+            # every literal of an unsatisfied clause is false, so setting
+            # it true flips its bit
+            if not moved & bit:
+                hit = rec(w ^ bit, budget - 1)
+                if hit is not None:
+                    return hit
+        empty.add(w)
         return None
 
     return rec(center, r)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from detksat import covering
 from detksat.cli import main
 from detksat.covering import ell_cover_spaces
 from detksat.formula import parse_dimacs
@@ -107,6 +108,26 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: code size guard")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 200 0\n", "p cnf 60 1\n%s 0\n" % " ".join(map(str, range(1, 13)))],
+        ids=["no-clause-200", "one-12-clause-60"],
+    )
+    def test_oversized_cube_refused_before_any_cover(self, tmp_path, capsys, monkeypatch, text):
+        # the 200-bit cube at radius 67 (ten 20-bit blocks) and the 60-bit
+        # cube at radius 5 (three): the product of the blocks' sphere-covering
+        # bounds already exceeds the size limit, so no block is built
+        def no_greedy(*args):
+            raise AssertionError("a greedy cover ran")
+
+        monkeypatch.setattr(covering, "_greedy_cover", no_greedy)
+        p = tmp_path / "wide.cnf"
+        p.write_text(text)
+        assert main(["solve", str(p), "--mode", "dls"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: code size guard: at least")
 
     def test_wide_power_decided(self, tmp_path, capsys):
         # six disjoint 4-clauses: a 24-bit power of 1-chains, built as two

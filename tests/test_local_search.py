@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from detksat.branching_k import SolveStats, solve_ksat
 from detksat.chains import build_chain, build_instance
 from detksat.covering import build_generalized_code
 from detksat.formula import brute_force_sat, formula, hamming, satisfies, verify_model
@@ -20,8 +23,9 @@ def as_alpha(word, n):
     return {v: (word >> (v - 1)) & 1 for v in range(1, n + 1)}
 
 
-def _ref_searchball(f, alpha, r):
-    """Dict-based depth-first ball search: the reference for searchball."""
+def _dict_ball_search(f, alpha, r, flip_back):
+    """Dict-based depth-first ball search around alpha; with flip_back False
+    a literal whose variable already differs from alpha is skipped."""
     cur = dict(alpha)
 
     def first_unsat():
@@ -39,6 +43,8 @@ def _ref_searchball(f, alpha, r):
         for l in lits:
             v = abs(l)
             old = cur.get(v, 0)
+            if not flip_back and old != alpha.get(v, 0):
+                continue
             cur[v] = 1 if l > 0 else 0
             if rec(budget - 1):
                 return True
@@ -46,6 +52,17 @@ def _ref_searchball(f, alpha, r):
         return False
 
     return dict(cur) if rec(r) else None
+
+
+def _ref_searchball(f, alpha, r):
+    """The reference for searchball: the same hit order, no flip back."""
+    return _dict_ball_search(f, alpha, r, flip_back=False)
+
+
+def _ref_searchball_any_order(f, alpha, r):
+    """The plain search that may flip a variable back: searchball finds a hit
+    exactly when it does, though not always the same one."""
+    return _dict_ball_search(f, alpha, r, flip_back=True)
 
 
 def _ref_dls(f, inst):
@@ -129,11 +146,25 @@ class TestSearchball:
     @settings(max_examples=400, deadline=None)
     @given(_ball())
     @example((formula(0, []), 0, 1))
+    @example((formula(2, [(-2, 1), (2, 1)]), 0, 3))
     def test_matches_dict_reference(self, ball):
         f, center, r = ball
         got = searchball(f, center, r)
         want = _ref_searchball(f, as_alpha(center, f.n), r)
         assert got == (None if want is None else as_word(want, f.n))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ball())
+    def test_verdict_matches_any_order_search(self, ball):
+        # skipping flips back loses no solution: the ball holds a hit exactly
+        # when the search that may flip back finds one
+        f, center, r = ball
+        got = searchball(f, center, r)
+        want = _ref_searchball_any_order(f, as_alpha(center, f.n), r)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert satisfies(f, as_alpha(got, f.n))
+            assert hamming(got, center) <= r
 
     def test_sub_ball_expanded_once(self):
         # Every 3-subset of 1..6 as an all-positive clause: a solution sets at
@@ -157,11 +188,54 @@ class TestSearchball:
         assert tables.visits == 1 + 3 * len(expanded) == 31
 
     def test_word_revisited_below_itself(self):
-        # 00 -(x2)-> 10 -(not x2)-> 00 again with budget 1, while its budget-3
-        # search is still open: that sub-ball is not known empty yet, and it
-        # holds the first hit, x1 = 1
+        # The search that may flip back reaches 00 -(x2)-> 10 -(not x2)-> 00
+        # with budget 1 and returns its first hit there, x1 = 1 (0b01). At 10
+        # the branched clause is (not x2, x1), and x2 already differs from the
+        # center, so searchball flips x1 instead and returns 0b11 (distance 2
+        # <= 3). Both words satisfy f; the hit order is the no-flip-back one.
         f = formula(2, [(-2, 1), (2, 1)])
-        assert searchball(f, 0b00, 3) == 0b01 == as_word(_ref_searchball(f, as_alpha(0, 2), 3), 2)
+        assert as_word(_ref_searchball_any_order(f, as_alpha(0, 2), 3), 2) == 0b01
+        assert searchball(f, 0b00, 3) == 0b11 == as_word(_ref_searchball(f, as_alpha(0, 2), 3), 2)
+
+    def test_no_word_expanded_twice(self):
+        # An unsatisfiable random 3-CNF over 8 variables with mixed signs, so
+        # the whole ball is searched and a branched clause can hold a variable
+        # already flipped. Each visit is recorded by the word it looks up (one
+        # table: n <= 8). Every flip moves one step away from the center, so a
+        # word at distance d is reached with budget r - d and expanded (d < r)
+        # exactly once: each visit of w is one allowed flip from a distinct
+        # expanded word.
+        n, r, center = 8, 4, 0b10100110
+        f = gen_random_kcnf(3, n, 50, 0)
+        assert brute_force_sat(f) is None
+
+        words = []
+
+        class Recording(tuple):
+            def __getitem__(self, i):
+                words.append(i)
+                return super().__getitem__(i)
+
+        tables = _CountingTables((Recording(f.byte_sat_tables[0]),))
+        vars(f)["byte_sat_tables"] = tables
+        assert searchball(f, center, r) is None
+        assert len(words) == tables.visits
+        visits = Counter(words)
+        assert all(hamming(w, center) <= r for w in visits)
+
+        def first_unsat(w):
+            alpha = as_alpha(w, n)
+            return next(c.lits for c in f.clauses
+                        if not any((alpha[abs(l)] == 1) == (l > 0) for l in c.lits))
+
+        want = Counter([center])
+        for w in visits:
+            if hamming(w, center) < r:
+                for l in first_unsat(w):
+                    if not (w ^ center) >> (abs(l) - 1) & 1:
+                        want[w ^ 1 << (abs(l) - 1)] += 1
+        assert visits == want
+        assert tables.visits <= sum(comb(n, i) for i in range(r + 1))
 
     def test_complete_within_ball(self):
         # against direct enumeration of the ball
@@ -267,3 +341,27 @@ class TestDls:
         b = dls(f, stats=s2)
         assert a == b
         assert s1.balls_searched == s2.balls_searched
+
+
+class TestPinnedFingerprint:
+    # The six dls-threshold bench instances, gen_random_kcnf(k, n, m, seed):
+    # verdict, balls searched and SAT assignment bits (variable 1 first) as
+    # the search that may flip a variable back gave them. The ball search
+    # must keep them; a change that moves one is a behaviour change.
+    PINNED = {
+        (4, 16, 158, 0): ("SAT", 175, "0010010100101110"),
+        (4, 16, 158, 1): ("SAT", 587, "1000000110101000"),
+        (4, 16, 158, 2): ("UNSAT", 764, ""),
+        (4, 16, 158, 3): ("SAT", 637, "1100111110000111"),
+        (5, 14, 294, 0): ("UNSAT", 592, ""),
+        (5, 14, 294, 1): ("SAT", 462, "01100110110000"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED), ids="k{0[0]}-n{0[1]}-s{0[3]}".format)
+    def test_threshold_instances(self, shape):
+        k, n, m, seed = shape
+        stats = SolveStats()
+        res = solve_ksat(gen_random_kcnf(k, n, m, seed), stats=stats)
+        bits = "".join(str(res.assignment[v]) for v in range(1, n + 1)) if res.assignment else ""
+        assert stats.path == "DLS"
+        assert (res.verdict, stats.dls.balls_searched, bits) == self.PINNED[shape]
