@@ -12,6 +12,11 @@ Forced chain terminations (the doubled-branch-number rule and seed
 exhaustion) close the open chain, branch a fresh literal from a 3-clause, and
 start the next chain from the resulting new 2-clause. Autark assignments are
 committed without branching.
+
+A node's formula is a ``formula.Node`` over the input clauses, indexed once
+at ``br_3`` entry. A probe is one closure that carries the node it reached,
+which a commit adopts; a child assigns 1-2 literals into its parent's
+bitsets. A ``Formula`` is built only for a 2-SAT leaf.
 """
 
 from __future__ import annotations
@@ -19,22 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Container, Generator, Optional
+from typing import Callable, Container, Generator, NamedTuple, Optional
 
 from .bounds import c3
 from .chains import ChainVector, branch_number, overlap_symbol, transform
 from .characteristic import forced_termination, lambda_for_zeta
-from .formula import (
-    Clause,
-    Formula,
-    lit_values,
-    propagate,
-    replace_clause,
-    restrict,
-    solve_2sat,
-    up_restrict,
-    verify_model,
-)
+from .formula import Clause, Formula, Node, bit_indices, lit_values, propagate, solve_2sat, verify_model
 from .outcomes import UNSAT, SolveResult
 
 
@@ -59,105 +54,93 @@ class PhiConfig:
 BUNDLE_PATTERNS = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
 
-@dataclass(frozen=True)
-class TbResult:
-    """One probe: the source indices of its member 2-clauses in the probed
-    formula, the conflict flag and the propagation closure of the literal.
-    ``member`` builds a member clause from its source index."""
+class TbResult(NamedTuple):
+    """One probe: the source indices of its member 2-clauses, the conflict
+    flag, the closure of the literal and the node it reached."""
 
     src: tuple[int, ...]
     conflict: bool
     fixes: dict[int, int]
+    node: Node
 
 
-# probes of the literals a branch set true, each with the formula probed
-Probes = tuple[tuple[Formula, TbResult], ...]
+# probes of the literals a branch set true, each with the node probed
+Probes = tuple[tuple[Node, TbResult], ...]
 
 
-def tb_set(f: Formula, lit: int) -> TbResult:
-    """2-clauses of UP(f | lit=1) descending from 3-clauses of f.
-
-    The members are the 3-clauses of f that the closure shortens by exactly
-    one literal without satisfying them, returned as their indices in f.
-    Neither the restricted formula nor a member clause is built (a caller
-    that commits the probe runs ``restrict(f, fixes)``: the closure is
-    complete, so nothing is left to propagate). On a
-    propagation conflict the member set is empty and the flag is set.
-    """
-    fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
+def tb_set(f: Formula | Node, lit: int) -> TbResult:
+    """2-clauses of UP(f | lit=1) descending from 3-clauses of f: those the
+    closure shortens by one literal and leaves unsatisfied, by index in f
+    (one mask). On a conflict the set is empty and the flag is set."""
+    f = Node.of(f)
+    g, fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
     if conflict:
-        return TbResult((), True, fixes)
-    clauses, widths, occ = f.clauses, f.widths, f.occurrences
-    src = []
-    for v, b in fixes.items():
-        # clauses in which the fixed value falsifies a literal
-        for s in occ.get(-v if b else v, ()):
-            if widths[s] == 3:
-                x, y, z = clauses[s].lits
-                if (abs(x) in fixes) + (abs(y) in fixes) + (abs(z) in fixes) == 1:
-                    src.append(s)
-    src.sort()
-    return TbResult(tuple(src), False, fixes)
+        return TbResult((), True, fixes, g)
+    return TbResult(tuple(bit_indices(f.wide & g.hi & ~(g.lo | g.sat))), False, fixes, g)
 
 
-def member(f: Formula, tb: TbResult, s: int) -> Clause:
+def member(f: Formula | Node, tb: TbResult, s: int) -> Clause:
     """The member 2-clause of probe ``tb`` of f that descends from clause s."""
     c = f.clauses[s]
     return Clause(tuple([l for l in c.lits if abs(l) not in tb.fixes]), c.orig)
 
 
-def _probe(probes: dict[int, TbResult], f: Formula, lit: int) -> TbResult:
-    """The probe of lit in f, run only when ``probes`` holds none."""
+def _probe(probes: dict[int, TbResult], f: Node, lit: int) -> TbResult:
+    """The probe of lit at f, run only when ``probes`` holds none."""
     tb = probes.get(lit)
     if tb is None:
         tb = probes[lit] = tb_set(f, lit)
     return tb
 
 
-def procedure_p_tracked(f: Formula) -> tuple[Formula, dict[int, int]]:
+def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
-    3-clause-to-2-clause replacement. Returns the formula and fixed variables."""
-    up = up_restrict(f, {})
-    f, fixes = up.formula, up.fixes
-    if up.conflict:
-        return f, fixes
+    3-clause-to-2-clause replacement. Returns f simplified (of f's kind) and
+    the fixed variables. A replacement of clause s drops the probes fixing a
+    variable of s; the rest never read s and carry over, and a 2-clause that
+    did nothing with probes still kept is not scanned again."""
+    g, fixes, conflict = propagate(Node.of(f), {})
+    clauses = g.clauses
     # propagated once: neither step below leaves a unit clause, since a
-    # commit restricts by a complete, conflict-free closure and a
-    # replacement adds a 2-clause
-    probes: dict[int, TbResult] = {}  # the probes of f, by literal
-    while True:
-        for c in f.clauses:
-            if c.width != 2:
+    # commit adopts a complete, conflict-free closure and a replacement
+    # leaves a 2-clause
+    probes: dict[int, TbResult] = {}  # the probes of g, by literal
+    quiet: dict[int, tuple[int, int]] = {}  # 2-clauses that did nothing, by index
+    while not conflict:
+        for i in bit_indices(g.pairs):
+            if i in quiet:
                 continue
-            l1, l2 = c.lits
-            tb1 = _probe(probes, f, l1)
+            l1, l2 = g.lits(i)
+            tb1 = _probe(probes, g, l1)
             # l2 is probed only when l1 is no autark
-            tb2 = _probe(probes, f, l2) if tb1.conflict or tb1.src else tb1
+            tb2 = _probe(probes, g, l2) if tb1.conflict or tb1.src else tb1
             if not tb2.conflict and not tb2.src:  # an autark: commit it
-                f = restrict(f, tb2.fixes)
+                g = tb2.node
                 fixes.update(tb2.fixes)
-                probes = {}  # a commit re-indexes the clauses
+                probes, quiet = {}, {}
                 break
             # a member of one probe that contains the other literal
-            rep = next(
-                (
-                    (tb, s)
-                    for tb, other in ((tb1, l2), (tb2, l1))
-                    for s in tb.src
-                    if other in f.clauses[s].lits and abs(other) not in tb.fixes
-                ),
-                None,
-            )
+            rep = next(((tb, s) for tb, other in ((tb1, l2), (tb2, l1)) for s in tb.src
+                        if other in clauses[s].lits and abs(other) not in tb.fixes), None)
             if rep is not None:
                 tb, s = rep
-                old = f.clauses[s].lits
-                f = replace_clause(f, s, member(f, tb, s))
-                # a probe fixing no variable of the old clause s never read
-                # it, so it is also the probe of the new f
-                probes = {l: p for l, p in probes.items() if not any(abs(x) in p.fixes for x in old)}
+                old = {abs(l) for l in clauses[s].lits}
+                cut = next(l for l in clauses[s].lits if abs(l) in tb.fixes)
+                g = g.remove(s, cut)
+                # the kept probes are probes of the new g: s is shortened in
+                # their nodes too, and a 2-clause whose probes are all kept
+                # would do nothing again
+                probes = {
+                    l: TbResult(p.src, p.conflict, p.fixes, p.node.remove(s, cut, g.masks))
+                    for l, p in probes.items()
+                    if old.isdisjoint(p.fixes)
+                }
+                quiet = {j: c for j, c in quiet.items() if c[0] in probes and c[1] in probes}
                 break
+            quiet[i] = (l1, l2)
         else:
-            return f, fixes
+            break
+    return (g, fixes) if isinstance(f, Node) else (g.formula(), fixes)
 
 
 def rule_upsilon(pending: Probes, assigned: Container[int]) -> Optional[Clause]:
@@ -240,7 +223,7 @@ class _Path:
 
 # a node's search, run by ``br_3``: it yields each child as its ``node``
 # arguments, is sent the child's outcome, and returns its own
-SearchGen = Generator[tuple[Formula, dict[int, int], _Path, Probes], SolveResult, SolveResult]
+SearchGen = Generator[tuple[Node, dict[int, int], _Path, Probes], SolveResult, SolveResult]
 
 
 class _Search:
@@ -261,7 +244,7 @@ class _Search:
         self.stats.leaves += 1
         return outcome
 
-    def node(self, f: Formula, alpha: dict[int, int], path: _Path, pending: Probes) -> SearchGen:
+    def node(self, f: Node, alpha: dict[int, int], path: _Path, pending: Probes) -> SearchGen:
         """Search below one node; ``pending`` holds the parent's probes of
         the literals the branch set true, which seed the next clause."""
         self.stats.nodes += 1
@@ -273,12 +256,12 @@ class _Search:
             return self._leaf(UNSAT)
         typed = path.typed()
         vec = ChainVector.from_typed_chains(typed)
-        if condition_phi(vec, f.n, self.cfg):
+        if condition_phi(vec, f.root.n, self.cfg):
             self.stats.phi_events.append(PhiEvent(self.stats.leaves, path.product(), len(typed)))
             seq = [c for ch in path.closed for c in ch.origs] + list(path.origs)
             return SolveResult("INSTANCE", instance=transform(seq))
-        if f.width() <= 2:
-            m = solve_2sat(f)
+        if not f.wide:
+            m = solve_2sat(f.formula())
             if m is None:
                 return self._leaf(UNSAT)
             return self._leaf(SolveResult("SAT", {**m, **alpha}))
@@ -306,10 +289,8 @@ class _Search:
         path = replace(path, origs=path.origs + (Clause(sel.orig, sel.orig),))
 
         if self.trace:
-            self.trace(
-                "depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f"
-                % (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
-            )
+            line = (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
+            self.trace("depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f" % line)
 
         u, w = sel.lits
         tbu = tb_set(f, u)
@@ -321,7 +302,7 @@ class _Search:
         for bits in ((0, 1), (1, 0), (1, 1)):
             add = lit_values((u, w), bits)
             seeds = tuple(p for p, b in zip(probes, bits) if b)
-            sub = yield restrict(f, add), {**alpha, **add}, path.child(), seeds
+            sub = yield f.assign(add), {**alpha, **add}, path.child(), seeds
             if sub.verdict != "UNSAT":
                 return sub
         return UNSAT
@@ -338,7 +319,7 @@ class _Search:
                 # the patterns sharing (u, w) share its simplified formula
                 shared = (bu, bw)
                 add = lit_values(uw, shared)
-                fy, fixes = procedure_p_tracked(restrict(f, add))
+                fy, fixes = procedure_p_tracked(f.assign(add))
                 alpha_y = {**alpha, **add, **fixes}
                 if fy.has_bottom:
                     self.stats.leaves += 1
@@ -351,7 +332,7 @@ class _Search:
                     continue
                 sub_f, sub_alpha = fy, alpha_y
             else:
-                sub_f, sub_alpha = restrict(fy, add3), {**alpha_y, **add3}
+                sub_f, sub_alpha = fy.assign(add3), {**alpha_y, **add3}
             if b3:
                 sub = yield sub_f, sub_alpha, path, ((fy, tb_set(fy, l3)),)
             else:
@@ -364,7 +345,7 @@ class _Search:
         """Start a new chain: pretest a fresh literal, commit autarks and
         forced values without branching, split only when both sides produce
         new 2-clauses."""
-        x = next(c for c in f.clauses if c.width == 3).lits[0]  # width > 2 here
+        x = f.clauses[next(bit_indices(f.wide))].lits[0]  # width > 2 here
         tb1 = tb_set(f, x)
         tb0 = tb_set(f, -x)
         if tb1.conflict and tb0.conflict:
@@ -379,11 +360,11 @@ class _Search:
             forced = None
         if forced is not None:
             # a forced value or an autark: commit it without branching
-            return (yield restrict(f, forced.fixes), {**alpha, **forced.fixes}, path, ())
+            return (yield forced.node, {**alpha, **forced.fixes}, path, ())
         self.stats.splits += 1
         child = replace(path.child(), splits=path.splits + (not path.credit))
         for tb in (tb0, tb1):
-            sub = yield restrict(f, tb.fixes), {**alpha, **tb.fixes}, child, ((f, tb),)
+            sub = yield tb.node, {**alpha, **tb.fixes}, child, ((f, tb),)
             if sub.verdict != "UNSAT":
                 return sub
         return UNSAT
@@ -408,7 +389,7 @@ def br_3(
     search = _Search(cfg, stats, trace)
     # the suspended nodes of the current path, the root first; a node is
     # started with None and resumed with its last child's outcome
-    stack, out = [search.node(f, {}, _Path(), ())], None
+    stack, out = [search.node(Node.of(f), {}, _Path(), ())], None
     while stack:
         try:
             stack.append(search.node(*stack[-1].send(out)))

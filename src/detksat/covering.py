@@ -255,7 +255,9 @@ def cover_cube(width: int, radius: int) -> CodeFamily:
     if radius >= width:
         return CodeFamily(width, {radius: (0,)}, "cube width %d, degenerate" % width)
     if width > BLOCK_WIDTH:
-        return _cover_cube_blocks(width, radius)
+        blocks = _cube_blocks(width, radius)
+        code = product_code([cover_cube(w, r) for w, r in blocks])
+        return replace(code, description="cube width %d (blocks %s)" % (width, [w for w, _ in blocks]))
     n = 1 << width
     all_true = np.ones(n, dtype=bool)
     centers, uncovered = _greedy_cover(width, radius, all_true, all_true)
@@ -272,7 +274,9 @@ def _balanced(count: int, cap: int) -> list[int]:
     return [base + 1] * rem + [base] * (nb - rem)
 
 
-def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
+def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
+    """Balanced blocks of a cube wider than BLOCK_WIDTH with their radii;
+    refused if their product code must exceed CODE_SIZE_LIMIT centers."""
     widths = _balanced(width, BLOCK_WIDTH)
     # integer radii summing to `radius`, largest remainder apportionment
     quotas = [radius * w / width for w in widths]
@@ -290,10 +294,20 @@ def _cover_cube_blocks(width: int, radius: int) -> CodeFamily:
     )
     if least > CODE_SIZE_LIMIT:
         raise CoverError("code size guard: at least %d centers > %d" % (least, CODE_SIZE_LIMIT))
-    parts = [cover_cube(w, r) for w, r in zip(widths, radii)]
-    return replace(
-        product_code(parts), description="cube width %d (blocks %s)" % (width, widths)
-    )
+    return list(zip(widths, radii))
+
+
+def cube_radius(width: int, k: int) -> int:
+    """The radius of the generalized family's free cube: ceil(width / k)."""
+    return -(-width // k)
+
+
+def guard_cube(width: int, k: int) -> None:
+    """Raise the code size guard now if the free cube's code will exceed
+    CODE_SIZE_LIMIT centers (one of at most BLOCK_WIDTH bits never does)."""
+    radius = cube_radius(width, k)
+    if width > BLOCK_WIDTH and radius < width:
+        _cube_blocks(width, radius)
 
 
 def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
@@ -314,11 +328,8 @@ def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
         parts = [(fam.width, fam.entries[r]) for fam, r in zip(families, combo)]
         if all(words for _, words in parts):
             entries.setdefault(sum(combo), {}).update(dict.fromkeys(pack_words(parts)))
-    return CodeFamily(
-        sum(fam.width for fam in families),
-        {r: tuple(cs) for r, cs in entries.items()},
-        "product of %d codes" % len(families),
-    )
+    codes = {r: tuple(cs) for r, cs in entries.items()}
+    return CodeFamily(sum(fam.width for fam in families), codes, "product of %d codes" % len(families))
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
@@ -373,13 +384,8 @@ def _ell_cover_shapes(
         budget = None if r == ell else max(1, math.ceil(size_target / (k - 1) ** r))
         centers, uncovered = _greedy_cover(width, r, uncovered, member, budget)
         entries[r] = tuple(centers)
-        log.debug(
-            "ell_cover r=%d: %d centers (budget %s), %d words left",
-            r,
-            len(centers),
-            budget,
-            int(uncovered.sum()),
-        )
+        log.debug("ell_cover r=%d: %d centers (budget %s), %d words left",
+                  r, len(centers), budget, int(uncovered.sum()))
         if not uncovered.any():
             break
     if uncovered.any():
@@ -404,11 +410,8 @@ def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: 
         if isinstance(f, PowerFactor):
             families.append(ell_cover_spaces(f.spaces, k, next(lam_iter)))
         elif f.width:
-            families.append(cover_cube(f.width, -(-f.width // k)))
-    return replace(
-        product_code(families),
-        description="generalized family over width %d" % space.width,
-    )
+            families.append(cover_cube(f.width, cube_radius(f.width, k)))
+    return replace(product_code(families), description="generalized family over width %d" % space.width)
 
 
 # ---------------------------------------------------------------------------

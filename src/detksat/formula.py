@@ -2,21 +2,20 @@
 
 Literals are signed DIMACS integers (variable v is ``v``/``-v``). Every clause
 remembers its original form ``orig``: a clause of the formula the 3-SAT
-branching was given, which it descends from; restriction and unit
-propagation preserve that reference.
-A zero-literal clause is the falsified clause (bottom).
+branching was given, which it descends from. A zero-literal clause is the
+falsified clause (bottom).
 
-Unit propagation computes the closure of an assignment over per-literal
-occurrence lists (``propagate``, which builds no clauses); ``up_restrict``
-then restricts the formula once by the closure.
+The 3-SAT branching works on a ``Node``: the clauses of a formula, indexed
+once as per-literal clause bitsets (``Formula.lit_masks``), under an
+assignment and 3->2 replacements. ``propagate`` computes a closure there with
+a few big-int operations per literal and builds no clause.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,22 +68,17 @@ class Formula:
         return 0 in self.widths
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.clauses:
-            out.update(abs(l) for l in c.lits)
-        return out
+        return {abs(l) for c in self.clauses for l in c.lits}
 
     @cached_property
-    def occurrences(self) -> dict[int, list[int]]:
-        """Indices of the clauses containing each literal, in clause order.
-
-        Built on first use and kept for the life of the formula.
-        """
-        occ: dict[int, list[int]] = {}
+    def lit_masks(self) -> dict[int, int]:
+        """Per literal, the clauses containing it as a bitset (bit i for
+        clause i). Built on first use and kept for the life of the formula."""
+        masks: dict[int, int] = {}
         for i, c in enumerate(self.clauses):
             for l in c.lits:
-                occ.setdefault(l, []).append(i)
-        return occ
+                masks[l] = masks.get(l, 0) | 1 << i
+        return masks
 
     @cached_property
     def byte_sat_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -95,13 +89,11 @@ class Formula:
         that those eight values satisfy, so the clauses a word satisfies are
         the union of one entry per byte. Built on first use.
         """
-        tables = []
+        masks, tables = self.lit_masks, []
         for base in range(1, self.n + 1, 8):
             tab = [0]
             for v in range(base, base + 8):
-                neg = sum(1 << i for i in self.occurrences.get(-v, ()))
-                pos = sum(1 << i for i in self.occurrences.get(v, ()))
-                tab = [t | neg for t in tab] + [t | pos for t in tab]
+                tab = [t | masks.get(-v, 0) for t in tab] + [t | masks.get(v, 0) for t in tab]
             tables.append(tuple(tab))
         return tuple(tables)
 
@@ -231,32 +223,6 @@ def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
     return Formula(f.n, tuple(out))
 
 
-def replace_clause(f: Formula, i: int, c: Clause) -> Formula:
-    """f with clause i replaced by c, a clause on a proper subset of its
-    literals.
-
-    Every clause keeps its index, so the occurrence index and the widths are
-    derived from f's instead of rebuilt: i leaves the list of each dropped
-    literal, and clause i gets c's width.
-    """
-    old = f.clauses[i].lits
-    if not set(c.lits) < set(old):
-        raise ValueError("%s is not a proper sub-clause of %s" % (c, f.clauses[i]))
-    g = Formula(f.n, f.clauses[:i] + (c,) + f.clauses[i + 1 :])
-    occ = dict(f.occurrences)
-    for l in old:
-        if l not in c.lits:
-            rest = [j for j in occ[l] if j != i]
-            if rest:
-                occ[l] = rest
-            else:
-                del occ[l]
-    # a cached_property reads the instance dict first
-    g.__dict__["occurrences"] = occ
-    g.__dict__["widths"] = f.widths[:i] + (len(c.lits),) + f.widths[i + 1 :]
-    return g
-
-
 def _first_falsified(f: Formula, alpha: Mapping[int, int]) -> Optional[int]:
     """Index of the first clause alpha falsifies (unset variables read 0)."""
     for i, c in enumerate(f.clauses):
@@ -283,44 +249,114 @@ def verify_model(f: Formula, alpha: Mapping[int, int]) -> None:
         raise VerificationError("assignment falsifies clause %d %s" % (i + 1, f.clauses[i]))
 
 
-def propagate(f: Formula, alpha: Mapping[int, int]) -> tuple[dict[int, int], bool]:
-    """Unit-propagation closure of alpha over f, without building clauses.
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns the fixed variables (alpha first, then each propagated unit) and
-    whether a clause was falsified. Units are taken lowest clause index
-    first and propagation stops at the first falsified clause, so a conflict
-    reports the same partial fixes as propagating clause by clause would.
-    """
-    clauses = f.clauses
-    occ = f.occurrences
-    # per clause: literals not yet falsified (read only while not sat[i])
-    free = list(f.widths)
-    sat = bytearray(len(clauses))
+
+class Node(NamedTuple):
+    """A formula of width <= 3 under an assignment and 3->2 replacements,
+    as bitsets over root's clauses (bit i for clause i): ``sat``, the
+    satisfied clauses; ``lo``/``hi``, the bit-planes of each clause's count
+    of free literals (read outside ``sat`` only); ``fixed``, bit v for each
+    assigned variable v; ``masks``, root's ``lit_masks`` less the clauses a
+    replacement removed the literal from. A node is never changed: a step
+    makes a new one, so a child owns a few ints and needs no undo."""
+
+    root: Formula
+    full: int
+    sat: int
+    lo: int
+    hi: int
+    fixed: int
+    masks: dict[int, int]
+
+    @staticmethod
+    def of(f: "Formula | Node") -> "Node":
+        """The node of f, no variable assigned (f itself if a node)."""
+        if isinstance(f, Node):
+            return f
+        if f.width() > 3:
+            raise ValueError("a node holds clauses of width <= 3, got %d" % f.width())
+        lo = sum((w & 1) << i for i, w in enumerate(f.widths))
+        hi = sum((w >> 1) << i for i, w in enumerate(f.widths))
+        return Node(f, (1 << len(f.clauses)) - 1, 0, lo, hi, 0, f.lit_masks)
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The root's clauses, by index."""
+        return self.root.clauses
+
+    @property
+    def has_bottom(self) -> bool:
+        return self.lo | self.hi | self.sat != self.full
+
+    @property
+    def wide(self) -> int:
+        """The clauses with three free literals."""
+        return self.lo & self.hi & ~self.sat
+
+    @property
+    def pairs(self) -> int:
+        """The clauses with two free literals."""
+        return self.hi & ~(self.lo | self.sat)
+
+    def lits(self, i: int) -> tuple[int, ...]:
+        """The literals of clause i at the node, in clause order."""
+        fixed, masks = self.fixed, self.masks
+        return tuple(l for l in self.root.clauses[i].lits if not fixed >> abs(l) & 1 and masks[l] >> i & 1)
+
+    def assign(self, alpha: Mapping[int, int]) -> "Node":
+        """The node with alpha's variables (unassigned here) set, unpropagated."""
+        return propagate(self, alpha, False)[0]
+
+    def remove(self, s: int, lit: int, masks: Optional[dict[int, int]] = None) -> "Node":
+        """Free literal lit removed from clause s (given ``masks`` lack it)."""
+        bit = 1 << s
+        if masks is None:
+            masks = dict(self.masks)
+            masks[lit] &= ~bit
+        root, full, sat, lo, hi, fixed, _ = self
+        return Node(root, full, sat, lo ^ bit, hi ^ (bit & ~lo), fixed, masks)
+
+    def formula(self) -> Formula:
+        """The unsatisfied clauses at the node, in order, keeping ``orig``."""
+        live = bit_indices(self.full & ~self.sat)
+        return Formula(self.root.n, tuple(Clause(self.lits(i), self.clauses[i].orig) for i in live))
+
+
+def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple[Node, dict[int, int], bool]:
+    """Unit-propagation closure of alpha (unassigned at the node): the node
+    reached, the fixes (alpha first, then each unit) and whether a clause was
+    falsified. The next unit is the lowest set bit of (count 1) & ~sat, and
+    propagation stops at the first literal that leaves a count 0 outside
+    ``sat``. With ``units`` false, alpha alone is assigned."""
+    root, full, sat, lo, hi, fixed, masks = node
     fixes = dict(alpha)
-    conflict = 0 in free
-    units = [i for i, w in enumerate(free) if w == 1] if 1 in free else []
+    if units and lo | hi | sat != full:
+        return node, fixes, True
     todo = [v if b == 1 else -v for v, b in fixes.items()]
-    while not conflict:
+    while True:
         for l in todo:
-            for i in occ.get(l, ()):
-                sat[i] = 1
-            for i in occ.get(-l, ()):
-                if not sat[i]:
-                    free[i] -= 1
-                    if free[i] == 1:
-                        heapq.heappush(units, i)
-                    elif free[i] == 0:
-                        conflict = True
-        if conflict:
-            break
-        while units and sat[units[0]]:
-            heapq.heappop(units)
-        if not units:
-            break
-        l = next(l for l in clauses[heapq.heappop(units)].lits if abs(l) not in fixes)
+            fixed |= 1 << abs(l)
+            false = masks.get(-l, 0)
+            sat |= masks.get(l, 0)
+            hi ^= false & ~lo
+            lo ^= false
+        hs = hi | sat
+        conflict = lo | hs != full
+        unit = lo & ~hs
+        if conflict or not unit or not units:
+            return Node(root, full, sat, lo, hi, fixed, masks), fixes, conflict
+        i = (unit & -unit).bit_length() - 1
+        for l in root.clauses[i].lits:
+            if not fixed >> abs(l) & 1 and masks[l] >> i & 1:
+                break
         fixes[abs(l)] = 1 if l > 0 else 0
         todo = (l,)
-    return fixes, conflict
 
 
 @dataclass
@@ -332,13 +368,10 @@ class UpResult:
 
 def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
     """UP(f | alpha): the restricted formula, every fix (alpha first) and
-    whether a clause was falsified. ``up_restrict(f, {})`` propagates f's
-    own unit clauses."""
-    fixes, conflict = propagate(f, alpha)
-    if not fixes:
-        # nothing to restrict: keep f, and with it its occurrence index
-        return UpResult(f, fixes, conflict)
-    return UpResult(restrict(f, fixes), fixes, conflict)
+    whether a clause was falsified; f has width at most 3.
+    ``up_restrict(f, {})`` propagates f's own unit clauses."""
+    _, fixes, conflict = propagate(Node.of(f), alpha)
+    return UpResult(restrict(f, fixes) if fixes else f, fixes, conflict)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +388,17 @@ def solve_2sat(f: Formula) -> Optional[dict[int, int]]:
     if f.width() > 2:
         raise ValueError("not a 2-CNF (width %d)" % f.width())
 
-    # node encoding: literal l -> 2*var + (0 if positive else 1)
+    # node encoding: literal l -> 2*var + (0 if positive else 1), so the
+    # node of -l is node(l) ^ 1
     def node(l: int) -> int:
         return 2 * abs(l) + (0 if l > 0 else 1)
 
-    def neg(x: int) -> int:
-        return x ^ 1
-
     adj: dict[int, list[int]] = {}
-    nodes: set[int] = set()
-    for v in sorted(f.variables()):
-        nodes.add(2 * v)
-        nodes.add(2 * v + 1)
     for c in f.clauses:
-        if c.width == 1:
-            (a,) = c.lits
-            adj.setdefault(neg(node(a)), []).append(node(a))
-        elif c.width == 2:
-            a, b = c.lits
-            adj.setdefault(neg(node(a)), []).append(node(b))
-            adj.setdefault(neg(node(b)), []).append(node(a))
+        # (a) is the edge -a -> a; (a b) the edges -a -> b and -b -> a
+        a, b = c.lits[0], c.lits[-1]
+        for x, y in ((a, b), (b, a))[: c.width]:
+            adj.setdefault(node(x) ^ 1, []).append(node(y))
 
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -384,7 +408,7 @@ def solve_2sat(f: Formula) -> Optional[dict[int, int]]:
     stack: list[int] = []
     onstack: set[int] = set()
 
-    for start in sorted(nodes):
+    for start in sorted(2 * v + b for v in f.variables() for b in (0, 1)):
         if start in index:
             continue
         # iterative Tarjan

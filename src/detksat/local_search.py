@@ -27,6 +27,7 @@ from .covering import (
     PowerFactor,
     StructuredSpace,
     build_generalized_code,
+    guard_cube,
 )
 from .formula import Formula, satisfies, verify_model
 
@@ -100,9 +101,11 @@ def structured_space_for(
     f: Formula, inst: Instance, k: int
 ) -> tuple[StructuredSpace, list[Fraction]]:
     """Free-variable cube times one power factor per chain-isomorphism group,
-    and the group's characteristic value at width k, in group order."""
+    and the group's characteristic value at width k, in group order. A cube
+    whose code would pass the code size guard is refused first."""
     used = inst.variables()
     free = tuple(v for v in range(1, f.n + 1) if v not in used)
+    guard_cube(len(free), k)
     factors: list = [CubeFactor(len(free), free)] if free else []
     lams: list[Fraction] = []
     for key, group in group_by_type(inst.chains).items():

@@ -20,5 +20,11 @@ def test_tracer_sites_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert local_search.structured_space_for is original
-    # deleted with procedure P's second copy; its span reads 0
-    assert tracer.missing == ["detksat.branching3.unit_propagate_tracked"]
+    # the 3-SAT branching restricts no formula and calls no up_restrict (it
+    # works on clause bitsets), and procedure P's second copy is deleted:
+    # these spans read 0
+    assert tracer.missing == [
+        "detksat.branching3.restrict",
+        "detksat.branching3.up_restrict",
+        "detksat.branching3.unit_propagate_tracked",
+    ]

@@ -1,11 +1,13 @@
 import hashlib
+import importlib
 import random
+from functools import cached_property
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detksat import branching3
+from detksat import branching3, branching_k
 from detksat.branching3 import (
     BUNDLE_PATTERNS,
     Br3Stats,
@@ -21,6 +23,7 @@ from detksat.chains import ChainVector, zeta
 from detksat.formula import (
     Clause,
     Formula,
+    Node,
     brute_force_sat,
     formula,
     restrict,
@@ -29,6 +32,9 @@ from detksat.formula import (
 )
 from detksat.branching_k import solve_ksat
 from detksat.generator import gen_random_kcnf
+
+# the package attribute ``detksat.formula`` is the function of that name
+formula_module = importlib.import_module("detksat.formula")
 
 
 def lits(f):
@@ -465,6 +471,88 @@ class TestPropagationMatchesRescan:
                 assert list(tb.src) == src
                 assert tb.conflict == conflict
                 assert list(tb.fixes.items()) == list(fx.items())
+
+
+@st.composite
+def _node_walk(draw):
+    """A CNF as above and a walk of up to eight steps at its node: each
+    assigns one unassigned variable, or removes one literal from a clause
+    with three free literals (a 3->2 replacement)."""
+    f, _ = draw(_cnf_and_alpha())
+    return f, draw(st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)), max_size=8))
+
+
+class TestNodeMatchesRebuiltFormula:
+    @settings(max_examples=300, deadline=None)
+    @given(_node_walk())
+    def test_closure_probes_and_procedure_p(self, case):
+        f, steps = case
+        node = Node.of(f)
+        # the node's formula rebuilt step by step: (root index, literals) of
+        # each unsatisfied clause
+        rows = [(i, c.lits) for i, c in enumerate(f.clauses)]
+        assigned = set()
+        for assign, a, b in steps:
+            free = [v for v in range(1, f.n + 1) if v not in assigned]
+            wide = [(i, ls) for i, ls in rows if len(ls) == 3]
+            if assign and free:
+                v = free[a % len(free)]
+                lit = v if b % 2 else -v
+                node = node.assign({v: b % 2})
+                assigned.add(v)
+                rows = [(i, tuple(l for l in ls if l != -lit)) for i, ls in rows if lit not in ls]
+            elif not assign and wide:
+                i, ls = wide[a % len(wide)]
+                node = node.remove(i, ls[b % 3])
+                rows = [(j, tuple(l for l in ls2 if l != ls[b % 3]) if j == i else ls2) for j, ls2 in rows]
+        g = Formula(f.n, tuple(Clause(ls, f.clauses[i].orig) for i, ls in rows))
+        index = [i for i, _ in rows]
+        assert _shape(node.formula().clauses) == _shape(g.clauses)
+        assert node.has_bottom == g.has_bottom
+        for lit in sorted({l for c in g.clauses for l in c.lits}):
+            tb = tb_set(node, lit)
+            members, src, conflict, fixes = _ref_tb(g, lit)
+            assert list(tb.src) == [index[s] for s in src]
+            assert _shape([member(node, tb, s) for s in tb.src]) == _shape(members)
+            assert tb.conflict == conflict
+            assert list(tb.fixes.items()) == list(fixes.items())
+            if not conflict and not g.has_bottom:
+                assert _shape(tb.node.formula().clauses) == _shape(_ref_up(g, tb.fixes)[0])
+        got, fixes = procedure_p_tracked(node)
+        ref, rfixes = _ref_procedure_p(g)
+        assert _shape(got.formula().clauses) == _shape(ref.clauses)
+        assert list(fixes.items()) == list(rfixes.items())
+
+
+class TestNoPerChildFormula:
+    def test_br3_instances_without_restrict(self, monkeypatch):
+        """The bench's br3 instances are decided without restricting a
+        formula: the clause index is built once per solve, and a Formula of a
+        node only for a 2-SAT leaf."""
+
+        def no_restrict(*args):
+            raise AssertionError("restrict ran")
+
+        monkeypatch.setattr(formula_module, "restrict", no_restrict)
+        monkeypatch.setattr(branching_k, "restrict", no_restrict)
+        counts = {"index": 0, "node formula": 0, "2-SAT": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        index = cached_property(counting("index", Formula.lit_masks.func))
+        index.__set_name__(Formula, "lit_masks")
+        monkeypatch.setattr(Formula, "lit_masks", index)
+        monkeypatch.setattr(Node, "formula", counting("node formula", Node.formula))
+        monkeypatch.setattr(branching3, "solve_2sat", counting("2-SAT", branching3.solve_2sat))
+        verdicts = [solve_ksat(gen_random_kcnf(3, 28, 119, seed)).verdict for seed in range(10)]
+        assert verdicts == ["SAT"] * 4 + ["UNSAT"] + ["SAT"] * 3 + ["UNSAT", "SAT"]
+        assert counts["index"] == 10
+        assert counts["node formula"] == counts["2-SAT"] > 0
 
 
 # P keeps its probes across 3->2 replacements. Restricting a random 3-CNF by

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from detksat import covering
+from detksat import characteristic, covering
 from detksat.cli import main
 from detksat.covering import ell_cover_spaces
 from detksat.formula import parse_dimacs
@@ -125,6 +125,22 @@ class TestSolve:
         p = tmp_path / "wide.cnf"
         p.write_text(text)
         assert main(["solve", str(p), "--mode", "dls"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: code size guard: at least")
+
+    def test_oversized_cube_refused_before_any_lambda(self, tmp_path, capsys, monkeypatch):
+        # default mode: the 12-literal clause is one chain whose exact
+        # characteristic value at k = 12 takes more than a minute; the free
+        # 48-bit cube at radius 4 is refused before it is solved
+        def no_solve(*args):
+            raise AssertionError("a characteristic value was solved")
+
+        monkeypatch.setattr(characteristic, "solve_characteristic", no_solve)
+        monkeypatch.setattr(characteristic, "_solve_mod_prime", no_solve)
+        p = tmp_path / "wide.cnf"
+        p.write_text("p cnf 60 1\n%s 0\n" % " ".join(map(str, range(1, 13))))
+        assert main(["solve", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: code size guard: at least")

@@ -1,20 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from detksat.formula import (
-    Clause,
     DimacsError,
-    Formula,
     VerificationError,
     brute_force_sat,
     clause,
     formula,
     hamming,
     parse_dimacs,
-    replace_clause,
     restrict,
     satisfies,
     serialize_dimacs,
@@ -104,43 +99,6 @@ class TestRestrict:
             alpha = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(1, n))}
             if brute_force_sat(restrict(f, alpha)) is not None:
                 assert brute_force_sat(f) is not None
-
-
-@st.composite
-def _formula_and_drops(draw):
-    """A CNF on up to 6 variables, and up to six (clause, literal) picks,
-    each of which drops one literal from a non-empty clause."""
-    n = draw(st.integers(1, 6))
-    var_sets = st.lists(st.integers(1, n), unique=True, min_size=1, max_size=min(4, n))
-    cls = [tuple(v if draw(st.booleans()) else -v for v in vs) for vs in draw(st.lists(var_sets, min_size=1, max_size=10))]
-    return n, cls, draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=6))
-
-
-class TestReplaceClause:
-    @settings(max_examples=300, deadline=None)
-    @given(_formula_and_drops())
-    def test_derived_index_equals_rebuilt(self, case):
-        n, cls, drops = case
-        f = formula(n, cls)
-        for a, b in drops:
-            wide = [i for i, c in enumerate(f.clauses) if c.width]
-            if not wide:
-                break
-            i = wide[a % len(wide)]
-            old = f.clauses[i]
-            drop = old.lits[b % old.width]
-            g = replace_clause(f, i, Clause(tuple(l for l in old.lits if l != drop), old.orig))
-            fresh = Formula(n, g.clauses)
-            assert g.occurrences == fresh.occurrences
-            assert g.widths == fresh.widths
-            assert g.clauses[:i] + g.clauses[i + 1 :] == f.clauses[:i] + f.clauses[i + 1 :]
-            f = g
-
-    def test_rejects_a_clause_that_is_not_a_proper_sub_clause(self):
-        f = formula(3, [(1, 2, 3)])
-        for c in ((1, -2), (1, 2, 3), (3, 2, 1)):
-            with pytest.raises(ValueError):
-                replace_clause(f, 0, clause(c))
 
 
 class TestVerifyModel:
