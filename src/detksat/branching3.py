@@ -289,8 +289,10 @@ class _Search:
         path = replace(path, origs=path.origs + (Clause(sel.orig, sel.orig),))
 
         if self.trace:
-            line = (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
-            self.trace("depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f" % line)
+            self.trace(
+                "depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f"
+                % (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
+            )
 
         u, w = sel.lits
         tbu = tb_set(f, u)

@@ -298,16 +298,12 @@ def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
 
 
 def cube_radius(width: int, k: int) -> int:
-    """The radius of the generalized family's free cube: ceil(width / k)."""
-    return -(-width // k)
-
-
-def guard_cube(width: int, k: int) -> None:
-    """Raise the code size guard now if the free cube's code will exceed
-    CODE_SIZE_LIMIT centers (one of at most BLOCK_WIDTH bits never does)."""
-    radius = cube_radius(width, k)
+    """The free cube's radius ceil(width / k); first raises the code size
+    guard if the cube's code must exceed CODE_SIZE_LIMIT centers."""
+    radius = -(-width // k)
     if width > BLOCK_WIDTH and radius < width:
         _cube_blocks(width, radius)
+    return radius
 
 
 def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
@@ -384,8 +380,13 @@ def _ell_cover_shapes(
         budget = None if r == ell else max(1, math.ceil(size_target / (k - 1) ** r))
         centers, uncovered = _greedy_cover(width, r, uncovered, member, budget)
         entries[r] = tuple(centers)
-        log.debug("ell_cover r=%d: %d centers (budget %s), %d words left",
-                  r, len(centers), budget, int(uncovered.sum()))
+        log.debug(
+            "ell_cover r=%d: %d centers (budget %s), %d words left",
+            r,
+            len(centers),
+            budget,
+            int(uncovered.sum()),
+        )
         if not uncovered.any():
             break
     if uncovered.any():

@@ -5,10 +5,9 @@ remembers its original form ``orig``: a clause of the formula the 3-SAT
 branching was given, which it descends from. A zero-literal clause is the
 falsified clause (bottom).
 
-The 3-SAT branching works on a ``Node``: the clauses of a formula, indexed
-once as per-literal clause bitsets (``Formula.lit_masks``), under an
-assignment and 3->2 replacements. ``propagate`` computes a closure there with
-a few big-int operations per literal and builds no clause.
+The 3-SAT branching works on a ``Node``: a formula's clauses, indexed once
+as per-literal clause bitsets (``Formula.lit_masks``), under an assignment
+and 3->2 replacements; ``propagate`` is its unit-propagation closure.
 """
 
 from __future__ import annotations
@@ -63,21 +62,21 @@ class Formula:
     def width(self) -> int:
         return max((c.width for c in self.clauses), default=0)
 
-    @property
+    @cached_property
     def has_bottom(self) -> bool:
-        return 0 in self.widths
+        return any(not c.lits for c in self.clauses)
 
     def variables(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c.lits}
 
     @cached_property
     def lit_masks(self) -> dict[int, int]:
-        """Per literal, the clauses containing it as a bitset (bit i for
-        clause i). Built on first use and kept for the life of the formula."""
-        masks: dict[int, int] = {}
+        """Per literal of variables 1..n, the clauses containing it as a
+        bitset (bit i for clause i). Built on first use."""
+        masks = {l: 0 for v in range(1, self.n + 1) for l in (v, -v)}
         for i, c in enumerate(self.clauses):
             for l in c.lits:
-                masks[l] = masks.get(l, 0) | 1 << i
+                masks[l] |= 1 << i
         return masks
 
     @cached_property
@@ -102,11 +101,6 @@ class Formula:
         """Per clause, the word bit (1 << v-1) of each literal's variable,
         in literal order. Built on first use."""
         return tuple(tuple(1 << (abs(l) - 1) for l in c.lits) for c in self.clauses)
-
-    @cached_property
-    def widths(self) -> tuple[int, ...]:
-        """Number of literals of each clause."""
-        return tuple(len(c.lits) for c in self.clauses)
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -281,8 +275,8 @@ class Node(NamedTuple):
             return f
         if f.width() > 3:
             raise ValueError("a node holds clauses of width <= 3, got %d" % f.width())
-        lo = sum((w & 1) << i for i, w in enumerate(f.widths))
-        hi = sum((w >> 1) << i for i, w in enumerate(f.widths))
+        lo = sum((c.width & 1) << i for i, c in enumerate(f.clauses))
+        hi = sum((c.width >> 1) << i for i, c in enumerate(f.clauses))
         return Node(f, (1 << len(f.clauses)) - 1, 0, lo, hi, 0, f.lit_masks)
 
     @property
@@ -342,8 +336,8 @@ def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple
     while True:
         for l in todo:
             fixed |= 1 << abs(l)
-            false = masks.get(-l, 0)
-            sat |= masks.get(l, 0)
+            false = masks[-l]
+            sat |= masks[l]
             hi ^= false & ~lo
             lo ^= false
         hs = hi | sat

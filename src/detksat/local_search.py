@@ -27,7 +27,7 @@ from .covering import (
     PowerFactor,
     StructuredSpace,
     build_generalized_code,
-    guard_cube,
+    cube_radius,
 )
 from .formula import Formula, satisfies, verify_model
 
@@ -105,7 +105,7 @@ def structured_space_for(
     whose code would pass the code size guard is refused first."""
     used = inst.variables()
     free = tuple(v for v in range(1, f.n + 1) if v not in used)
-    guard_cube(len(free), k)
+    cube_radius(len(free), k)  # an oversized cube is refused before any lambda
     factors: list = [CubeFactor(len(free), free)] if free else []
     lams: list[Fraction] = []
     for key, group in group_by_type(inst.chains).items():
