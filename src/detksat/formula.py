@@ -304,7 +304,7 @@ class Node(NamedTuple):
         return tuple(l for l in self.root.clauses[i].lits if not fixed >> abs(l) & 1 and masks[l] >> i & 1)
 
     def assign(self, alpha: Mapping[int, int]) -> "Node":
-        """The node with alpha's variables (unassigned here) set, unpropagated."""
+        """The node with alpha's variables set, unpropagated."""
         return propagate(self, alpha, False)[0]
 
     def remove(self, s: int, lit: int, masks: Optional[dict[int, int]] = None) -> "Node":
@@ -323,16 +323,18 @@ class Node(NamedTuple):
 
 
 def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple[Node, dict[int, int], bool]:
-    """Unit-propagation closure of alpha (unassigned at the node): the node
-    reached, the fixes (alpha first, then each unit) and whether a clause was
-    falsified. The next unit is the lowest set bit of (count 1) & ~sat, and
-    propagation stops at the first literal that leaves a count 0 outside
-    ``sat``. With ``units`` false, alpha alone is assigned."""
+    """Unit-propagation closure of alpha at the node: the node reached, the
+    fixes (alpha first, then each unit) and whether a clause was falsified.
+    The next unit is the lowest set bit of (count 1) & ~sat, and propagation
+    stops at the first literal that leaves a count 0 outside ``sat``. With
+    ``units`` false, alpha alone is assigned."""
     root, full, sat, lo, hi, fixed, masks = node
     fixes = dict(alpha)
     if units and lo | hi | sat != full:
         return node, fixes, True
-    todo = [v if b == 1 else -v for v, b in fixes.items()]
+    # a variable assigned at the node is in no clause there, as after a
+    # restriction: it is fixed again without effect
+    todo = [v if b == 1 else -v for v, b in fixes.items() if not fixed >> v & 1]
     while True:
         for l in todo:
             fixed |= 1 << abs(l)

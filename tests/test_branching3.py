@@ -509,7 +509,8 @@ class TestNodeMatchesRebuiltFormula:
         index = [i for i, _ in rows]
         assert _shape(node.formula().clauses) == _shape(g.clauses)
         assert node.has_bottom == g.has_bottom
-        for lit in sorted({l for c in g.clauses for l in c.lits}):
+        # assigned variables too: at the node, as in g, they are in no clause
+        for lit in sorted(l for v in range(1, f.n + 1) for l in (v, -v)):
             tb = tb_set(node, lit)
             members, src, conflict, fixes = _ref_tb(g, lit)
             assert list(tb.src) == [index[s] for s in src]
