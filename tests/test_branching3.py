@@ -525,6 +525,17 @@ class TestNodeMatchesRebuiltFormula:
         assert list(fixes.items()) == list(rfixes.items())
 
 
+class TestBundleSeedOnAFixedLiteral:
+    def test_probe_of_an_assigned_literal_changes_nothing(self):
+        # a two-negative bundle child whose third literal P already fixed is
+        # seeded with a probe of that literal; as on a restricted formula,
+        # where its variable is in no clause, the probe must fix it without
+        # effect (a false conflict here cut the search to 110 nodes)
+        st = Br3Stats()
+        out = br_3(gen_random_kcnf(3, 42, 179, 2), stats=st)
+        assert (out.verdict, st.nodes, st.leaves, st.splits) == ("UNSAT", 122, 82, 3)
+
+
 class TestNoPerChildFormula:
     def test_br3_instances_without_restrict(self, monkeypatch):
         """The bench's br3 instances are decided without restricting a
