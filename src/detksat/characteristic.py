@@ -8,9 +8,11 @@ For a solution space A and width parameter k, the characteristic pair
     pi(a) >= 0
 
 Equivalently M y = 1 with M[a*,a] = (1/(k-1))^d(a,a*), lambda = 1/sum(y) and
-pi = lambda * y. The system is solved modulo word-size primes; after each
-prime the residues are CRT-combined and rationally reconstructed, and the
-first reconstruction that verifies exactly (integer arithmetic,
+pi = lambda * y. The system is solved modulo 25-bit primes, small enough
+that the elimination reduces a row only when it becomes the pivot row, in
+an order of the words oriented by each coordinate's majority value; after
+each prime the residues are CRT-combined and rationally reconstructed, and
+the first reconstruction that verifies exactly (integer arithmetic,
 tensor-structured matrix-vector product) is the result, so the output is
 certified.
 """
@@ -40,16 +42,12 @@ from .formula import hamming
 SPACE_LIMIT = 4096
 DENSE_LIMIT = 0  # every solve is modular; bench/tracer.py reads the name
 
-# primes just below 2**31; residue products stay inside int64
+# primes just below 2**25: an entry takes at most SPACE_LIMIT updates of a
+# product below 2**50 before it is reduced, so it stays inside int64
+# (pinned in tests/test_characteristic.py)
 _PRIMES = (
-    2147483647,
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-    2147483543,
-    2147483497,
+    33554393, 33554383, 33554371, 33554347, 33554341,
+    33554317, 33554291, 33554273, 33554267, 33554249,
 )
 
 
@@ -74,7 +72,10 @@ def _popcount_matrix(words: Sequence[int]) -> np.ndarray:
 
 
 def _solve_mod_prime(dmat: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Solve M y = 1 over GF(p) with M = inv(k-1)^d. Raises on zero pivot."""
+    """Solve M y = 1 over GF(p) with M = inv(k-1)^d. Raises on zero pivot.
+
+    Rows below the pivot take their updates unreduced; a row is reduced
+    when it becomes the pivot row, and back-substitution reads only those."""
     n = dmat.shape[0]
     inv = pow(k - 1, p - 2, p)
     powtab = np.array(
@@ -84,24 +85,23 @@ def _solve_mod_prime(dmat: np.ndarray, k: int, p: int) -> np.ndarray:
     a[:, :n] = powtab[dmat]
     a[:, n] = 1
     for col in range(n):
-        nz = np.nonzero(a[col:, col])[0]
+        c = a[col:, col] % p
+        nz = np.flatnonzero(c)
         if nz.size == 0:
             raise _SingularModP(col)
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        ip = pow(int(a[col, col]), p - 2, p)
-        a[col, col:] = a[col, col:] * ip % p
-        rows = a[col + 1 :, col]
-        nzr = np.nonzero(rows)[0]
+        piv = int(nz[0])
+        if piv:
+            a[[col, col + piv]] = a[[col + piv, col]]
+            c[[0, piv]] = c[[piv, 0]]
+        row = a[col, col + 1 :] % p * pow(int(c[0]), p - 2, p) % p
+        a[col, col + 1 :] = row
+        nzr = np.flatnonzero(c[1:])
         if nzr.size:
-            sub = a[col + 1 :, col:]
-            sub[nzr] = (sub[nzr] - rows[nzr, None] * a[col, col:]) % p
+            a[nzr + col + 1, col + 1 :] -= c[nzr + 1, None] * row
     x = np.zeros(n, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        x[i] = a[i, n]
-        if i:
-            a[:i, n] = (a[:i, n] - a[:i, i] * x[i]) % p
+        x[i] = a[i, n] % p
+        a[:i, n] -= a[:i, i] * x[i]
     return x
 
 
@@ -179,8 +179,17 @@ def solve_characteristic(space: SolutionSpace, k: int) -> Characteristic:
 def _solve_modular(words: Sequence[int], width: int, k: int) -> list[Fraction]:
     """y with M y = 1: the residues of one more prime at a time are CRT-combined
     and reconstructed until a reconstruction verifies exactly."""
-    dmat = _popcount_matrix(words)
     n = len(words)
+    # Eliminate in an order of the space alone: each coordinate oriented so
+    # that 1 is its majority value, highest oriented word first. A polarity
+    # flip keeps the order unless a coordinate is balanced, and the order
+    # leaves fewer nonzero multipliers than the ascending one.
+    wa = np.asarray(words, dtype=np.int64)
+    ones = ((wa[:, None] >> np.arange(width)) & 1).sum(axis=0)
+    mask = sum(1 << b for b in range(width) if 2 * ones[b] < n)
+    order = np.argsort(wa ^ mask)[::-1]
+    back = np.argsort(order)
+    dmat = _popcount_matrix(wa[order])
     residues: list[np.ndarray] = []
     primes: list[int] = []
     singular_hits = 0
@@ -192,7 +201,7 @@ def _solve_modular(words: Sequence[int], width: int, k: int) -> list[Fraction]:
             if singular_hits >= 3:
                 raise CharacteristicError("system appears singular")
             continue
-        residues.append(res)
+        residues.append(res[back])
         primes.append(p)
         y = _combine(residues, primes, n)
         if y is not None and _verify_exact(words, width, k, y):

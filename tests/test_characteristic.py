@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,8 +113,8 @@ class TestSolve:
 
 
 class TestModularPaths:
-    """The paths that the first 31-bit prime alone never reaches on the
-    reference types: CRT over several primes, a singular prime, a
+    """The paths of the modular solve on a space whose y the first prime
+    alone reconstructs: CRT over several primes, a singular prime, a
     reconstruction that fails verification, and a negative pi."""
 
     SPACE = solution_space(canonical_realization("nt*"))  # denominators up to 135
@@ -171,6 +173,69 @@ class TestModularPaths:
         assert reference_characteristic(space, 3)[1][12] < 0
         with pytest.raises(CharacteristicError, match="negative pi"):
             solve_characteristic(space, 3)
+
+
+class TestArithmeticBound:
+    """_solve_mod_prime lets a row take its updates unreduced until it
+    becomes the pivot row; that is exact only while these bounds hold."""
+
+    FORMER_PRIMES = (  # the 31-bit primes the solve used before
+        2147483647,
+        2147483629,
+        2147483587,
+        2147483579,
+        2147483563,
+        2147483549,
+        2147483543,
+        2147483497,
+    )
+
+    def test_distinct_primes_below_2_25(self):
+        primes = characteristic._PRIMES
+        assert len(set(primes)) == len(primes)
+        for p in primes:
+            assert p < 2**25
+            assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    def test_lazy_updates_stay_inside_int64(self):
+        # an entry starts in [0, p) and takes at most SPACE_LIMIT updates,
+        # each a product of two residues
+        p = max(characteristic._PRIMES)
+        assert characteristic.SPACE_LIMIT * p**2 + p < 2**63
+
+    def test_modulus_no_smaller_than_before(self):
+        assert math.prod(characteristic._PRIMES) >= math.prod(self.FORMER_PRIMES)
+
+
+class TestResiduesAndOrder:
+    """Type 14 (306 words): enough pivots that an entry passes 2**50 before
+    it is reduced."""
+
+    SPACE = solution_space(canonical_realization("npp*"))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_residues_solve_the_system(self, k):
+        words = self.SPACE.words
+        assert len(words) >= 300
+        p = max(characteristic._PRIMES)
+        y = characteristic._solve_mod_prime(characteristic._popcount_matrix(words), k, p)
+        assert all(0 <= int(v) < p for v in y)
+        inv = pow(k - 1, p - 2, p)
+        for wi in words:
+            acc = sum(pow(inv, (wi ^ wj).bit_count(), p) * int(v) for wj, v in zip(words, y))
+            assert acc % p == 1
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_same_y_for_any_word_order_and_polarity(self, k):
+        words, width = self.SPACE.words, self.SPACE.width
+        y = dict(zip(words, characteristic._solve_modular(words, width, k)))
+        shuffled = list(words)
+        random.Random(k).shuffle(shuffled)
+        assert dict(zip(shuffled, characteristic._solve_modular(shuffled, width, k))) == y
+        mask = 0b1_0110_1101  # flips 6 of the 9 coordinates
+        flipped = [w ^ mask for w in words]
+        y_flipped = characteristic._solve_modular(flipped, width, k)
+        assert {w ^ mask: f for w, f in zip(flipped, y_flipped)} == y
 
 
 class TestClosedForm:
