@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .formula import Clause, clause
 
 
@@ -130,22 +132,21 @@ def solution_space(chain: Chain) -> SolutionSpace:
     nv = len(order)
     if nv > SOLUTION_SPACE_VAR_LIMIT:
         raise ChainError("solution space guard: %d variables > %d" % (nv, SOLUTION_SPACE_VAR_LIMIT))
-    pos = {v: i for i, v in enumerate(order)}
-    words = []
-    for w in range(1 << nv):
-        ok = True
-        for c in chain.clauses:
-            sat = False
-            for l in c.lits:
-                bit = (w >> pos[abs(l)]) & 1
-                if (bit == 1) == (l > 0):
-                    sat = True
-                    break
-            if not sat:
-                ok = False
-                break
-        if ok:
-            words.append(w)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    # a clause is falsified exactly on the words that take its literals'
+    # false values on its variables: (w & mask) == value
+    falsified = [
+        (sum(bit[abs(l)] for l in c.lits), sum(bit[abs(l)] for l in c.lits if l < 0))
+        for c in chain.clauses
+    ]
+    words: list[int] = []
+    step = 1 << min(nv, 16)  # at most 2^16 words at a time
+    for start in range(0, 1 << nv, step):
+        w = np.arange(start, start + step, dtype=np.int64)
+        ok = np.ones(step, dtype=bool)
+        for mask, value in falsified:
+            ok &= (w & mask) != value
+        words.extend(w[ok].tolist())
     if not words:
         raise ChainError("chain has empty solution space")
     return SolutionSpace(tuple(words), order)

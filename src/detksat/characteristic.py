@@ -8,13 +8,32 @@ For a solution space A and width parameter k, the characteristic pair
     pi(a) >= 0
 
 Equivalently M y = 1 with M[a*,a] = (1/(k-1))^d(a,a*), lambda = 1/sum(y) and
-pi = lambda * y. The system is solved modulo 25-bit primes, small enough
-that the elimination reduces a row only when it becomes the pivot row, in
-an order of the words oriented by each coordinate's majority value; after
-each prime the residues are CRT-combined and rationally reconstructed, and
-the first reconstruction that verifies exactly (integer arithmetic,
-tensor-structured matrix-vector product) is the result, so the output is
-certified.
+pi = lambda * y.
+
+M depends only on Hamming distances, so a distance-preserving map of the
+cube that sends A onto itself leaves the unique y unchanged, and y is
+constant on the orbits of such maps. The solve takes as generators the
+coordinate transpositions (i j) that send A onto itself, plainly or with
+both coordinates flipped, and solves the system on orbits R y = 1 with one
+unknown y_O per orbit, one equation per orbit representative a* and
+R[a*, O] = sum over a in O of (1/(k-1))^d(a*, a); lambda = 1/sum |O| y_O.
+A space without such a transposition has singleton orbits and R = M.
+
+R is nonsingular over Q. Let E be the words-by-orbits membership matrix and
+suppose R z = 0. Then M E z is invariant under the generators and vanishes
+on the representatives, so it vanishes everywhere. M is positive definite,
+as a principal submatrix of the Kronecker power of [[1, q], [q, 1]] with
+q = 1/(k-1) < 1, so E z = 0 and z = 0.
+
+R y = 1 is solved modulo 25-bit primes, small enough that the elimination
+reduces a row only when it becomes the pivot row, in an order of the
+representatives oriented by each coordinate's majority value; after each
+prime the residues are CRT-combined and rationally reconstructed per orbit,
+and the first reconstruction whose expansion to every word satisfies the
+full system M y = 1 exactly (integer arithmetic, tensor-structured
+matrix-vector product) is the result. M is nonsingular, so that y is the
+unique solution: the output is certified, and a symmetry detected wrongly
+can only make a solve fail, never return a wrong value.
 """
 
 from __future__ import annotations
@@ -65,14 +84,77 @@ class _SingularModP(Exception):
     pass
 
 
-def _popcount_matrix(words: Sequence[int]) -> np.ndarray:
+def _signed_transpositions(wa: np.ndarray, width: int) -> list[tuple[int, int, bool, np.ndarray]]:
+    """The coordinate transpositions (i j), plain or with both coordinates
+    flipped, that map the words onto themselves, as (i, j, flip, perm) with
+    perm[x] the index of the image of wa[x]."""
+    n = len(wa)
+    srt = np.argsort(wa)
+    sw = wa[srt]
+    bits = (wa[:, None] >> np.arange(width)) & 1
+    ones = bits.sum(axis=0)
+    found = []
+    for i in range(width):
+        for j in range(i + 1, width):
+            pair = (1 << i) | (1 << j)
+            swapped = wa ^ ((bits[:, i] ^ bits[:, j]) * pair)
+            # a map onto the set keeps the count of ones of the image coordinate
+            for flip, count in ((0, ones[j]), (pair, n - ones[j])):
+                if ones[i] != count:
+                    continue
+                img = swapped ^ flip
+                pos = np.searchsorted(sw, img) % n
+                if np.array_equal(sw[pos], img):
+                    found.append((i, j, bool(flip), srt[pos]))
+    return found
+
+
+def _orbits(wa: np.ndarray, width: int) -> np.ndarray:
+    """Orbit label of each word under the signed transpositions: the lowest
+    index in its orbit (connected components by label propagation)."""
+    perms = [perm for *_, perm in _signed_transpositions(wa, width)]
+    label = np.arange(len(wa))
+    changed = bool(perms)
+    while changed:
+        before = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+        changed = not np.array_equal(label, before)
+    return label
+
+
+def _reduced_system(
+    words: Sequence[int], width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dmat, starts, orbit) of the system on orbits: dmat[r, c] is the distance
+    from the r-th orbit representative to a word, columns grouped by orbit
+    from starts[O]; orbit[i] is the orbit of words[i].
+
+    Orbits and representatives are numbered in the elimination order, an
+    order of the space alone: each coordinate oriented so that 1 is its
+    majority value, highest oriented word first. A polarity flip keeps the
+    order unless a coordinate is balanced, and the order leaves fewer
+    nonzero multipliers than the ascending one."""
     wa = np.asarray(words, dtype=np.int64)
-    xor = wa[:, None] ^ wa[None, :]
-    return np.bitwise_count(xor).astype(np.int64)
+    n = len(wa)
+    ones = ((wa[:, None] >> np.arange(width)) & 1).sum(axis=0)
+    mask = sum(1 << b for b in range(width) if 2 * ones[b] < n)
+    order = np.argsort(wa ^ mask)[::-1]
+    ow = wa[order]
+    label = _orbits(ow, width)
+    reps = np.flatnonzero(label == np.arange(n))
+    orbit = np.empty(n, dtype=np.int64)
+    orbit[order] = np.searchsorted(reps, label)
+    cols = np.argsort(orbit, kind="stable")
+    starts = np.searchsorted(orbit[cols], np.arange(len(reps)))
+    dmat = np.bitwise_count(ow[reps][:, None] ^ wa[cols][None, :])
+    return dmat, starts, orbit
 
 
-def _solve_mod_prime(dmat: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Solve M y = 1 over GF(p) with M = inv(k-1)^d. Raises on zero pivot.
+def _solve_mod_prime(dmat: np.ndarray, starts: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Solve the system on orbits R y = 1 over GF(p), where R sums
+    inv(k-1)^dmat over each orbit's columns. Raises on zero pivot.
 
     Rows below the pivot take their updates unreduced; a row is reduced
     when it becomes the pivot row, and back-substitution reads only those."""
@@ -82,7 +164,7 @@ def _solve_mod_prime(dmat: np.ndarray, k: int, p: int) -> np.ndarray:
         [pow(inv, j, p) for j in range(int(dmat.max()) + 1)], dtype=np.int64
     )
     a = np.empty((n, n + 1), dtype=np.int64)
-    a[:, :n] = powtab[dmat]
+    a[:, :n] = np.add.reduceat(powtab[dmat], starts, axis=1) % p
     a[:, n] = 1
     for col in range(n):
         c = a[col:, col] % p
@@ -129,19 +211,17 @@ def _verify_exact(words: Sequence[int], width: int, k: int, y: list[Fraction]) -
     for f in y:
         den = den * f.denominator // math.gcd(den, f.denominator)
     if width <= 16:
-        v = [0] * (1 << width)
-        for w, f in zip(words, y):
-            v[w] = int(f * den)
+        # one butterfly per axis over exact Python ints: pairs (w, w | bit)
+        # are v[:, 0] and v[:, 1] of the axis' reshape
+        v = np.zeros(1 << width, dtype=object)
+        idx = np.asarray(words, dtype=np.int64)
+        v[idx] = [f.numerator * (den // f.denominator) for f in y]
         for axis in range(width):
-            bit = 1 << axis
-            for w in range(1 << width):
-                if w & bit:
-                    continue
-                a, b = v[w], v[w | bit]
-                v[w] = (k - 1) * a + b
-                v[w | bit] = a + (k - 1) * b
+            pairs = v.reshape(-1, 2, 1 << axis)
+            a, b = pairs[:, 0], pairs[:, 1]
+            pairs[:, 0], pairs[:, 1] = (k - 1) * a + b, a + (k - 1) * b
         target = den * (k - 1) ** width
-        return all(v[w] == target for w in words)
+        return bool((v[idx] == target).all())
     nums = [int(f * den) for f in y]
     scale = [(k - 1) ** j for j in range(width + 1)]
     target = den * (k - 1) ** width
@@ -162,12 +242,14 @@ def solve_characteristic(space: SolutionSpace, k: int) -> Characteristic:
         raise CharacteristicError("k must be >= 3")
     if n > SPACE_LIMIT:
         raise CharacteristicError("space guard: %d words > %d" % (n, SPACE_LIMIT))
-    y = _solve_modular(words, space.width, k)
-    total = sum(y, Fraction(0))
+    y, orbit = _solve_modular(words, space.width, k)
+    sizes = np.bincount(orbit, minlength=len(y)).tolist()
+    total = sum((s * f for s, f in zip(sizes, y)), Fraction(0))
     if total <= 0:
         raise CharacteristicError("non-positive normalisation sum")
     lam = 1 / total
-    pi = {w: f * lam for w, f in zip(words, y)}
+    pi_orbit = [f * lam for f in y]
+    pi = {w: pi_orbit[o] for w, o in zip(words, orbit.tolist())}
     for w, f in pi.items():
         if f < 0:
             raise CharacteristicError("negative pi component at word %d" % w)
@@ -176,36 +258,30 @@ def solve_characteristic(space: SolutionSpace, k: int) -> Characteristic:
     return Characteristic(lam, pi)
 
 
-def _solve_modular(words: Sequence[int], width: int, k: int) -> list[Fraction]:
-    """y with M y = 1: the residues of one more prime at a time are CRT-combined
-    and reconstructed until a reconstruction verifies exactly."""
-    n = len(words)
-    # Eliminate in an order of the space alone: each coordinate oriented so
-    # that 1 is its majority value, highest oriented word first. A polarity
-    # flip keeps the order unless a coordinate is balanced, and the order
-    # leaves fewer nonzero multipliers than the ascending one.
-    wa = np.asarray(words, dtype=np.int64)
-    ones = ((wa[:, None] >> np.arange(width)) & 1).sum(axis=0)
-    mask = sum(1 << b for b in range(width) if 2 * ones[b] < n)
-    order = np.argsort(wa ^ mask)[::-1]
-    back = np.argsort(order)
-    dmat = _popcount_matrix(wa[order])
+def _solve_modular(
+    words: Sequence[int], width: int, k: int
+) -> tuple[list[Fraction], np.ndarray]:
+    """(y, orbit) with y[orbit[i]] the value at words[i] of the solution of
+    M y = 1: the residues of one more prime at a time on the system on orbits
+    are CRT-combined and reconstructed until a reconstruction, expanded to
+    every word, verifies exactly on the full system."""
+    dmat, starts, orbit = _reduced_system(words, width)
     residues: list[np.ndarray] = []
     primes: list[int] = []
     singular_hits = 0
     for p in _PRIMES:
         try:
-            res = _solve_mod_prime(dmat, k, p)
+            res = _solve_mod_prime(dmat, starts, k, p)
         except _SingularModP:
             singular_hits += 1
             if singular_hits >= 3:
                 raise CharacteristicError("system appears singular")
             continue
-        residues.append(res[back])
+        residues.append(res)
         primes.append(p)
-        y = _combine(residues, primes, n)
-        if y is not None and _verify_exact(words, width, k, y):
-            return y
+        y = _combine(residues, primes, len(starts))
+        if y is not None and _verify_exact(words, width, k, [y[o] for o in orbit.tolist()]):
+            return y, orbit
     raise CharacteristicError("rational reconstruction failed with %d primes" % len(primes))
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detksat.chains import (
     ChainError,
@@ -114,6 +116,40 @@ class TestSolutionSpace:
                 for c in base.clauses
             ]
             assert len(solution_space(build_chain(flipped, 3))) == n0
+
+    @staticmethod
+    def _loop_words(chain):
+        # the per-word loop over the variable order, as a reference
+        pos = {v: i for i, v in enumerate(chain.var_order())}
+        return tuple(
+            w
+            for w in range(1 << len(pos))
+            if all(
+                any(((w >> pos[abs(l)]) & 1) == (l > 0) for l in c.lits) for c in chain.clauses
+            )
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_word_loop(self, data):
+        # a random chain: each clause shares 1 to k-1 of the variables its
+        # predecessor does not share further back, random signs throughout
+        k = data.draw(st.integers(3, 5), label="k")
+        length = data.draw(st.integers(1, 3), label="clauses")
+        fresh = iter(range(1, 100))
+        vs = [next(fresh) for _ in range(k)]
+        var_sets = [vs]
+        private = vs
+        for _ in range(length - 1):
+            most = min(len(private), k - 1)
+            pick = st.lists(st.sampled_from(private), min_size=1, max_size=most, unique=True)
+            shared = data.draw(pick)
+            vs = shared + [next(fresh) for _ in range(k - len(shared))]
+            private = vs[len(shared):]
+            var_sets.append(vs)
+        cls = [clause(tuple(v if data.draw(st.booleans()) else -v for v in vs)) for vs in var_sets]
+        chain = build_chain(cls, k)
+        assert solution_space(chain).words == self._loop_words(chain)
 
     def test_guard(self):
         cls = [clause((1, 2, 3))]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detksat import characteristic
@@ -49,6 +50,12 @@ def reference_characteristic(space, k):
         y[i] = rows[i][n] - sum(rows[i][j] * y[j] for j in range(i + 1, n))
     lam = 1 / sum(y)
     return lam, {w: v * lam for w, v in zip(words, y)}
+
+
+def y_per_word(words, width, k):
+    """The modular solve's y, one entry per word."""
+    y, orbit = characteristic._solve_modular(words, width, k)
+    return [y[o] for o in orbit]
 
 
 def agrees_with_reference(space, k):
@@ -138,10 +145,10 @@ class TestModularPaths:
         real = characteristic._solve_mod_prime
         bad = characteristic._PRIMES[:count]
 
-        def solve(dmat, k, p):
+        def solve(dmat, starts, k, p):
             if p in bad:
                 raise characteristic._SingularModP(0)
-            return real(dmat, k, p)
+            return real(dmat, starts, k, p)
 
         monkeypatch.setattr(characteristic, "_solve_mod_prime", solve)
 
@@ -173,6 +180,79 @@ class TestModularPaths:
         assert reference_characteristic(space, 3)[1][12] < 0
         with pytest.raises(CharacteristicError, match="negative pi"):
             solve_characteristic(space, 3)
+
+
+def signed_transposition(w, i, j, flip):
+    """The image of w under (i j), with both coordinates flipped if flip."""
+    bi, bj = (w >> i) & 1, (w >> j) & 1
+    w ^= (bi ^ bj) * ((1 << i) | (1 << j))
+    return w ^ ((1 << i) | (1 << j)) if flip else w
+
+
+class TestOrbits:
+    """The system on orbits: its generators, its orbits, and the y it gives."""
+
+    def test_generators_map_the_words_onto_themselves(self):
+        for z in ("nt*", "nnnt*", "tnpt*", "npp*"):
+            sp = solution_space(canonical_realization(z))
+            wa = np.asarray(sp.words, dtype=np.int64)
+            gens = characteristic._signed_transpositions(wa, sp.width)
+            assert gens
+            for i, j, flip, perm in gens:
+                images = [signed_transposition(w, i, j, flip) for w in sp.words]
+                assert sorted(images) == list(sp.words)
+                assert images == wa[perm].tolist()
+
+    def test_no_symmetry_gives_singleton_orbits(self):
+        wa = np.array([0, 1, 3, 7, 8], dtype=np.int64)
+        assert characteristic._signed_transpositions(wa, 4) == []
+        assert characteristic._orbits(wa, 4).tolist() == [0, 1, 2, 3, 4]
+        _, starts, orbit = characteristic._reduced_system(wa.tolist(), 4)
+        assert len(starts) == 5 and sorted(orbit.tolist()) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_symmetric_word_sets_agree_with_reference(self, k):
+        rng = random.Random(k)
+        for _ in range(12):
+            width = rng.randint(3, 6)
+            i, j = sorted(rng.sample(range(width), 2))
+            flip = rng.random() < 0.5
+            base = rng.sample(range(1 << width), rng.randint(2, min(10, 1 << width)))
+            words = sorted(set(base) | {signed_transposition(w, i, j, flip) for w in base})
+            wa = np.asarray(words, dtype=np.int64)
+            found = characteristic._signed_transpositions(wa, width)
+            assert (i, j, flip) in [g[:3] for g in found]
+            y, orbit = characteristic._solve_modular(words, width, k)
+            lam, pi = reference_characteristic(SolutionSpace(tuple(words), tuple(range(width))), k)
+            assert [y[o] for o in orbit] == [pi[w] / lam for w in words]
+
+    def test_twelve_literal_clause(self):
+        space = one_chain_space(12)
+        assert len(space) == 4095
+        _, starts, _ = characteristic._reduced_system(space.words, space.width)
+        assert len(starts) == 12
+        ch = solve_characteristic(space, 12)
+        cf = closed_form_1chain(12)
+        assert ch.lam == cf.lam
+        assert ch.pi == cf.pi
+
+
+class TestVerifyExact:
+    """Both paths of the exact check, the butterfly (width <= 16) and the
+    pairwise sum, accept the solution and reject it with one entry changed."""
+
+    SPACE = solution_space(canonical_realization("nt*"))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_changed_entry_rejected(self, k):
+        words = self.SPACE.words
+        y = y_per_word(words, self.SPACE.width, k)
+        for width in (self.SPACE.width, 17):  # 17 takes the pairwise path
+            assert characteristic._verify_exact(words, width, k, y)
+            for pos in (0, len(y) // 2, len(y) - 1):
+                changed = list(y)
+                changed[pos] += Fraction(1, 7)
+                assert not characteristic._verify_exact(words, width, k, changed)
 
 
 class TestArithmeticBound:
@@ -218,7 +298,8 @@ class TestResiduesAndOrder:
         words = self.SPACE.words
         assert len(words) >= 300
         p = max(characteristic._PRIMES)
-        y = characteristic._solve_mod_prime(characteristic._popcount_matrix(words), k, p)
+        dmat, starts, orbit = characteristic._reduced_system(words, self.SPACE.width)
+        y = characteristic._solve_mod_prime(dmat, starts, k, p)[orbit]
         assert all(0 <= int(v) < p for v in y)
         inv = pow(k - 1, p - 2, p)
         for wi in words:
@@ -228,13 +309,13 @@ class TestResiduesAndOrder:
     @pytest.mark.parametrize("k", [3, 5])
     def test_same_y_for_any_word_order_and_polarity(self, k):
         words, width = self.SPACE.words, self.SPACE.width
-        y = dict(zip(words, characteristic._solve_modular(words, width, k)))
+        y = dict(zip(words, y_per_word(words, width, k)))
         shuffled = list(words)
         random.Random(k).shuffle(shuffled)
-        assert dict(zip(shuffled, characteristic._solve_modular(shuffled, width, k))) == y
+        assert dict(zip(shuffled, y_per_word(shuffled, width, k))) == y
         mask = 0b1_0110_1101  # flips 6 of the 9 coordinates
         flipped = [w ^ mask for w in words]
-        y_flipped = characteristic._solve_modular(flipped, width, k)
+        y_flipped = y_per_word(flipped, width, k)
         assert {w ^ mask: f for w, f in zip(flipped, y_flipped)} == y
 
 

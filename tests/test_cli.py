@@ -130,9 +130,10 @@ class TestSolve:
         assert captured.err.startswith("error: code size guard: at least")
 
     def test_oversized_cube_refused_before_any_lambda(self, tmp_path, capsys, monkeypatch):
-        # default mode: the 12-literal clause is one chain whose exact
-        # characteristic value at k = 12 takes more than a minute; the free
-        # 48-bit cube at radius 4 is refused before it is solved
+        # default mode: the 12-literal clause is one chain, whose exact
+        # characteristic value at k = 12 (4,095 words on 12 orbits) takes a
+        # few hundredths of a second; the free 48-bit cube at radius 4 is
+        # refused before that value is solved
         def no_solve(*args):
             raise AssertionError("a characteristic value was solved")
 
