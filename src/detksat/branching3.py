@@ -14,9 +14,10 @@ start the next chain from the resulting new 2-clause. Autark assignments are
 committed without branching.
 
 A node's formula is a ``formula.Node`` over the input clauses, indexed once
-at ``br_3`` entry. A probe is one closure that carries the node it reached,
-which a commit adopts; a child assigns 1-2 literals into its parent's
-bitsets. A ``Formula`` is built only for a 2-SAT leaf.
+at ``br_3`` entry. A probe is one closure, kept as its members, conflict
+flag and fixes; a forced literal's child assigns the fixes into the probed
+node, and any other child assigns 1-2 literals into its parent's bitsets.
+A ``Formula`` is built only for a 2-SAT leaf.
 """
 
 from __future__ import annotations
@@ -56,12 +57,11 @@ BUNDLE_PATTERNS = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
 class TbResult(NamedTuple):
     """One probe: the source indices of its member 2-clauses, the conflict
-    flag, the closure of the literal and the node it reached."""
+    flag and the closure of the literal (in propagation order when fresh)."""
 
     src: tuple[int, ...]
     conflict: bool
     fixes: dict[int, int]
-    node: Node
 
 
 # probes of the literals a branch set true, each with the node probed
@@ -75,8 +75,8 @@ def tb_set(f: Formula | Node, lit: int) -> TbResult:
     f = Node.of(f)
     g, fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
     if conflict:
-        return TbResult((), True, fixes, g)
-    return TbResult(tuple(bit_indices(f.wide & g.hi & ~(g.lo | g.sat))), False, fixes, g)
+        return TbResult((), True, fixes)
+    return TbResult(tuple(bit_indices(f.wide & g.hi & ~(g.lo | g.sat))), False, fixes)
 
 
 def member(f: Formula | Node, tb: TbResult, s: int) -> Clause:
@@ -93,12 +93,45 @@ def _probe(probes: dict[int, TbResult], f: Node, lit: int) -> TbResult:
     return tb
 
 
+def _after_cut(tb: TbResult, s: int, cut: int, rest: tuple[int, ...]) -> Optional[TbResult]:
+    """Probe ``tb`` of a node g carried over to g' = g.remove(s, cut), or
+    None where its closure may change there. Clause s has the three free
+    literals cut and ``rest`` at g; at g' it is s' = rest, and no other
+    clause differs.
+
+    A conflict stays one: s' subsumes s, so unit propagation at g' derives
+    at least what it derives at g. Otherwise let F be tb's closure, closed
+    and conflict-free at g. It is kept when (a) it fixes no variable of s,
+    (b) it sets a literal of rest true, (c) it sets cut true and fixes no
+    variable of rest, or (d) it sets cut false. Then:
+
+    - F is closed and conflict-free at g': it satisfies s' (b, or d with s
+      satisfied) or leaves both its literals free (a, c, or d with s a
+      member), and every other clause is as at g.
+    - Each unit step of F's derivation at g is one at g': a step through s
+      sets a literal of s that F makes true, never cut (d sets cut false; in
+      b, s sets cut only with rest all false; in a and c, s keeps two free
+      literals), so s' is unit under the same fixes.
+
+    So the closure at g' is F as a mapping; only the order may differ,
+    where s' turns unit before s did. The members are tb's less s, which
+    has two literals at g'. Any other probe sets a literal of rest false,
+    none true, and cut true or not at all: s' may be unit at g'."""
+    if tb.conflict:
+        return tb
+    fx = tb.fixes
+    truth = [None if abs(l) not in fx else fx[abs(l)] == (l > 0) for l in rest]
+    if True in truth or fx.get(abs(cut)) == (cut < 0) or truth == [None, None]:
+        return tb if s not in tb.src else TbResult(tuple(j for j in tb.src if j != s), False, fx)
+    return None
+
+
 def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
     3-clause-to-2-clause replacement. Returns f simplified (of f's kind) and
-    the fixed variables. A replacement of clause s drops the probes fixing a
-    variable of s; the rest never read s and carry over, and a 2-clause that
-    did nothing with probes still kept is not scanned again."""
+    the fixed variables. A replacement keeps every probe whose closure it
+    provably leaves unchanged (``_after_cut``), and a 2-clause that did
+    nothing is not scanned again while both its probes are kept unchanged."""
     g, fixes, conflict = propagate(Node.of(f), {})
     clauses = g.clauses
     # propagated once: neither step below leaves a unit clause, since a
@@ -113,10 +146,12 @@ def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, in
             l1, l2 = g.lits(i)
             tb1 = _probe(probes, g, l1)
             # l2 is probed only when l1 is no autark
-            tb2 = _probe(probes, g, l2) if tb1.conflict or tb1.src else tb1
-            if not tb2.conflict and not tb2.src:  # an autark: commit it
-                g = tb2.node
-                fixes.update(tb2.fixes)
+            lit, tb2 = (l2, _probe(probes, g, l2)) if tb1.conflict or tb1.src else (l1, tb1)
+            if not tb2.conflict and not tb2.src:
+                # an autark: commit it, closing it again, since a kept
+                # probe holds the closure's fixes but not their order
+                g, fx, _ = propagate(g, {abs(lit): 1 if lit > 0 else 0})
+                fixes.update(fx)
                 probes, quiet = {}, {}
                 break
             # a member of one probe that contains the other literal
@@ -124,18 +159,13 @@ def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, in
                         if other in clauses[s].lits and abs(other) not in tb.fixes), None)
             if rep is not None:
                 tb, s = rep
-                old = {abs(l) for l in clauses[s].lits}
                 cut = next(l for l in clauses[s].lits if abs(l) in tb.fixes)
+                rest = tuple(l for l in clauses[s].lits if l != cut)
                 g = g.remove(s, cut)
-                # the kept probes are probes of the new g: s is shortened in
-                # their nodes too, and a 2-clause whose probes are all kept
-                # would do nothing again
-                probes = {
-                    l: TbResult(p.src, p.conflict, p.fixes, p.node.remove(s, cut, g.masks))
-                    for l, p in probes.items()
-                    if old.isdisjoint(p.fixes)
-                }
-                quiet = {j: c for j, c in quiet.items() if c[0] in probes and c[1] in probes}
+                kept = {l: _after_cut(p, s, cut, rest) for l, p in probes.items()}
+                # a 2-clause stays quiet while both its probes are unchanged
+                quiet = {j: c for j, c in quiet.items() if all(kept[l] is probes[l] for l in c)}
+                probes = {l: p for l, p in kept.items() if p is not None}
                 break
             quiet[i] = (l1, l2)
         else:
@@ -362,11 +392,11 @@ class _Search:
             forced = None
         if forced is not None:
             # a forced value or an autark: commit it without branching
-            return (yield forced.node, {**alpha, **forced.fixes}, path, ())
+            return (yield f.assign(forced.fixes), {**alpha, **forced.fixes}, path, ())
         self.stats.splits += 1
         child = replace(path.child(), splits=path.splits + (not path.credit))
         for tb in (tb0, tb1):
-            sub = yield tb.node, {**alpha, **tb.fixes}, child, ((f, tb),)
+            sub = yield f.assign(tb.fixes), {**alpha, **tb.fixes}, child, ((f, tb),)
             if sub.verdict != "UNSAT":
                 return sub
         return UNSAT

@@ -307,12 +307,11 @@ class Node(NamedTuple):
         """The node with alpha's variables set, unpropagated."""
         return propagate(self, alpha, False)[0]
 
-    def remove(self, s: int, lit: int, masks: Optional[dict[int, int]] = None) -> "Node":
-        """Free literal lit removed from clause s (given ``masks`` lack it)."""
+    def remove(self, s: int, lit: int) -> "Node":
+        """Free literal lit removed from clause s."""
         bit = 1 << s
-        if masks is None:
-            masks = dict(self.masks)
-            masks[lit] &= ~bit
+        masks = dict(self.masks)
+        masks[lit] &= ~bit
         root, full, sat, lo, hi, fixed, _ = self
         return Node(root, full, sat, lo ^ bit, hi ^ (bit & ~lo), fixed, masks)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .chains import Chain, Instance, group_by_type, solution_space
+from .chains import Chain, Instance, canonical_zeta, group_by_type, solution_space
 from .characteristic import characteristic_for_chain, lambda_for_zeta
 from .covering import (
     CubeFactor,
@@ -91,10 +91,21 @@ class DlsStats:
     code_sizes: dict[int, int] = field(default_factory=dict)
 
 
+# lambda by (canonical type, clause width, k), for the whole process
+_GROUP_LAMBDAS: dict[tuple[str, int, int], Fraction] = {}
+
+
 def group_lambda(key: str, chain: Chain, k: int) -> Fraction:
-    """The characteristic value of a chain group of type ``key``: the
-    per-type k = 3 memo at k = 3, an exact solve of ``chain`` at any other k."""
-    return lambda_for_zeta(key) if k == 3 else characteristic_for_chain(chain, k).lam
+    """The characteristic value at width k of a chain group of type ``key``
+    whose clauses have ``chain.k`` literals, solved once per process. The
+    type and the clause width fix the chain's solution space up to a
+    permutation and sign flips of its coordinates, which keep lambda; the
+    value is ``lambda_for_zeta``'s, which the branching shares, at k = 3,
+    and an exact solve of ``chain`` at any other k."""
+    memo = (canonical_zeta(key), chain.k, k)
+    if memo not in _GROUP_LAMBDAS:
+        _GROUP_LAMBDAS[memo] = lambda_for_zeta(key) if k == 3 else characteristic_for_chain(chain, k).lam
+    return _GROUP_LAMBDAS[memo]
 
 
 def structured_space_for(

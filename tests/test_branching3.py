@@ -4,6 +4,7 @@ import random
 from functools import cached_property
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from detksat.formula import (
     Clause,
     Formula,
     Node,
+    bit_indices,
     brute_force_sat,
     formula,
     restrict,
@@ -285,8 +287,6 @@ class TestBr3:
         assert a == b
 
     def test_width_guard(self):
-        import pytest
-
         with pytest.raises(ValueError):
             br_3(formula(4, [(1, 2, 3, 4)]))
 
@@ -482,31 +482,37 @@ def _node_walk(draw):
     return f, draw(st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)), max_size=8))
 
 
+def _walk(f, steps):
+    """The node that a walk of ``_node_walk`` reaches from f, the same
+    formula rebuilt step by step (each unsatisfied clause with its root
+    literals less the removed and the false ones) and the root index of
+    each of its clauses."""
+    node = Node.of(f)
+    rows = [(i, c.lits) for i, c in enumerate(f.clauses)]
+    assigned = set()
+    for assign, a, b in steps:
+        free = [v for v in range(1, f.n + 1) if v not in assigned]
+        wide = [(i, ls) for i, ls in rows if len(ls) == 3]
+        if assign and free:
+            v = free[a % len(free)]
+            lit = v if b % 2 else -v
+            node = node.assign({v: b % 2})
+            assigned.add(v)
+            rows = [(i, tuple(l for l in ls if l != -lit)) for i, ls in rows if lit not in ls]
+        elif not assign and wide:
+            i, ls = wide[a % len(wide)]
+            node = node.remove(i, ls[b % 3])
+            rows = [(j, tuple(l for l in ls2 if l != ls[b % 3]) if j == i else ls2) for j, ls2 in rows]
+    g = Formula(f.n, tuple(Clause(ls, f.clauses[i].orig) for i, ls in rows))
+    return node, g, [i for i, _ in rows]
+
+
 class TestNodeMatchesRebuiltFormula:
     @settings(max_examples=300, deadline=None)
     @given(_node_walk())
     def test_closure_probes_and_procedure_p(self, case):
-        f, steps = case
-        node = Node.of(f)
-        # the node's formula rebuilt step by step: (root index, literals) of
-        # each unsatisfied clause
-        rows = [(i, c.lits) for i, c in enumerate(f.clauses)]
-        assigned = set()
-        for assign, a, b in steps:
-            free = [v for v in range(1, f.n + 1) if v not in assigned]
-            wide = [(i, ls) for i, ls in rows if len(ls) == 3]
-            if assign and free:
-                v = free[a % len(free)]
-                lit = v if b % 2 else -v
-                node = node.assign({v: b % 2})
-                assigned.add(v)
-                rows = [(i, tuple(l for l in ls if l != -lit)) for i, ls in rows if lit not in ls]
-            elif not assign and wide:
-                i, ls = wide[a % len(wide)]
-                node = node.remove(i, ls[b % 3])
-                rows = [(j, tuple(l for l in ls2 if l != ls[b % 3]) if j == i else ls2) for j, ls2 in rows]
-        g = Formula(f.n, tuple(Clause(ls, f.clauses[i].orig) for i, ls in rows))
-        index = [i for i, _ in rows]
+        node, g, index = _walk(*case)
+        f = node.root
         assert _shape(node.formula().clauses) == _shape(g.clauses)
         assert node.has_bottom == g.has_bottom
         # assigned variables too: at the node, as in g, they are in no clause
@@ -518,7 +524,7 @@ class TestNodeMatchesRebuiltFormula:
             assert tb.conflict == conflict
             assert list(tb.fixes.items()) == list(fixes.items())
             if not conflict and not g.has_bottom:
-                assert _shape(tb.node.formula().clauses) == _shape(_ref_up(g, tb.fixes)[0])
+                assert _shape(node.assign(tb.fixes).formula().clauses) == _shape(_ref_up(g, tb.fixes)[0])
         got, fixes = procedure_p_tracked(node)
         ref, rfixes = _ref_procedure_p(g)
         assert _shape(got.formula().clauses) == _shape(ref.clauses)
@@ -592,10 +598,95 @@ class TestProbeReuse:
         assert reusing > len(REUSE_CASES) // 2
 
 
+class TestKeptProbesMatchFresh:
+    """Every probe P reads from its table, kept across 3->2 replacements,
+    is the probe a fresh closure at the current node gives: the same
+    members and conflict flag and, without a conflict, the same fixes as a
+    mapping (a kept probe need not hold their order)."""
+
+    @staticmethod
+    def _checked(monkeypatch):
+        real, hits = branching3._probe, []
+
+        def probe(probes, f, lit):
+            kept = probes.get(lit)
+            tb = real(probes, f, lit)
+            if kept is not None:
+                want = tb_set(f, lit)
+                assert (tb.src, tb.conflict) == (want.src, want.conflict), lit
+                assert tb.conflict or tb.fixes == want.fixes, lit
+                hits.append(lit)
+            return tb
+
+        monkeypatch.setattr(branching3, "_probe", probe)
+        return hits
+
+    @settings(max_examples=300, deadline=None)
+    @given(_node_walk())
+    def test_after_cut_on_any_removal(self, case):
+        # the rule's proof holds for any literal removed from any clause
+        # with three free literals, not only for the replacements P makes
+        node = _walk(*case)[0]
+        if node.has_bottom:
+            return
+        free = [l for v in range(1, node.root.n + 1) if not node.fixed >> v & 1 for l in (v, -v)]
+        before = {l: tb_set(node, l) for l in free}
+        for s in bit_indices(node.wide):
+            for cut in node.lits(s):
+                rest = tuple(l for l in node.lits(s) if l != cut)
+                after = node.remove(s, cut)
+                for l, tb in before.items():
+                    kept = branching3._after_cut(tb, s, cut, rest)
+                    if kept is not None:
+                        want = tb_set(after, l)
+                        assert (kept.src, kept.conflict) == (want.src, want.conflict), (s, cut, l)
+                        assert kept.conflict or kept.fixes == want.fixes, (s, cut, l)
+
+    @staticmethod
+    def _assert_matches_reference(node, g):
+        got, fixes = procedure_p_tracked(node)
+        ref, rfixes = _ref_procedure_p(g)
+        assert _shape(got.formula().clauses) == _shape(ref.clauses)
+        assert list(fixes.items()) == list(rfixes.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_node_walk())
+    def test_walked_nodes(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            self._checked(mp)
+            self._assert_matches_reference(*_walk(*case)[:2])
+
+    def test_commit_of_a_kept_probe_keeps_the_closure_order(self):
+        # a node that br_3 reached on a random 3-CNF (12 variables, 51
+        # clauses): the probe of the autark that P commits was kept across a
+        # replacement and holds x5 before x4, where a fresh closure of the
+        # committed literal fixes x4 first
+        f = formula(12, [
+            (2, -7, -6), (-11, -8, 1), (11, 9, -4), (11, -1), (-1, 9), (-9, 4, -6), (9, 12, -4), (7, -1, 9),
+            (11, 5, -4), (6, 2, -8), (-11, 1, 4), (-2, -5, -11), (12, -2, 8), (-9, -1, -2), (-12, 4, 5),
+            (3, 2, -7), (-5, 11), (-11, 7, -9), (4, 5, -3), (-5, -9, 6), (2, -11), (2, -6, -11),
+            (-11, -12, -3), (8, 7, -2), (1, -2, 8), (6, 2, -11), (-3, 9, -5), (-3, 2), (-9, 4, 5),
+            (-11, 8, -7), (-9, 6, -11), (-4, -9, 3), (-6, -9, 7), (9, -8, -11), (-4, -7), (-5, -9, -2),
+            (8, 1), (6, 1, 11), (5, 9, -12), (7, -12, -4), (4, -5, 6), (2, 3, -4), (-2, -1, -9),
+            (-8, -9, 2), (-4, -6, -12),
+        ])
+        want = [(1, 0), (8, 1), (11, 0), (4, 0), (5, 0), (12, 0), (3, 0), (9, 0), (6, 1), (2, 1)]
+        assert list(_ref_procedure_p(f)[1].items()) == want
+        assert list(procedure_p_tracked(f)[1].items()) == want
+
+    def test_reuse_cases(self, monkeypatch):
+        hits = self._checked(monkeypatch)
+        for g in REUSE_CASES:
+            self._assert_matches_reference(Node.of(g), g)
+        assert hits
+
+
 class TestPinnedProbes:
     def test_br3_probe_count(self, monkeypatch):
         """Fresh probes while deciding the bench's br3 instances: 13,579
-        when P probed every literal again after each replacement."""
+        when P probed every literal again after each replacement, and 5,144
+        when a replacement of clause s dropped every probe that fixed a
+        variable of s."""
         calls = [0]
 
         def counting(f, lit):
@@ -605,4 +696,4 @@ class TestPinnedProbes:
         monkeypatch.setattr(branching3, "tb_set", counting)
         verdicts = [solve_ksat(gen_random_kcnf(3, 28, 119, seed)).verdict for seed in range(10)]
         assert verdicts.count("UNSAT") == 2
-        assert calls[0] == 5144
+        assert calls[0] == 2243

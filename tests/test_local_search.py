@@ -8,11 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detksat.branching_k import SolveStats, solve_ksat
-from detksat.chains import build_chain, build_instance
+from detksat import local_search
+from detksat.bounds import lambda_1chain
+from detksat.chains import build_chain, build_instance, canonical_realization, canonical_zeta, zeta
+from detksat.characteristic import characteristic_for_chain
 from detksat.covering import build_generalized_code
-from detksat.formula import brute_force_sat, formula, hamming, satisfies, verify_model
+from detksat.formula import brute_force_sat, clause, formula, hamming, satisfies, verify_model
 from detksat.generator import gen_random_kcnf
-from detksat.local_search import DlsStats, dls, searchball, structured_space_for
+from detksat.local_search import DlsStats, dls, group_lambda, searchball, structured_space_for
 
 
 def as_word(alpha, n):
@@ -365,3 +368,38 @@ class TestPinnedFingerprint:
         bits = "".join(str(res.assignment[v]) for v in range(1, n + 1)) if res.assignment else ""
         assert stats.path == "DLS"
         assert (res.verdict, stats.dls.balls_searched, bits) == self.PINNED[shape]
+
+
+def _relabeled(chain, rng):
+    """The chain under a random renaming of its variables, random sign flips
+    and a random literal order in each clause: the same type and width."""
+    vs = sorted(chain.variables())
+    ren = dict(zip(vs, rng.sample(range(1, 3 * len(vs) + 1), len(vs))))
+    flip = {v: rng.choice((1, -1)) for v in vs}
+    cls = [clause(rng.sample([flip[abs(l)] * (ren[abs(l)] if l > 0 else -ren[abs(l)]) for l in c.lits], c.width))
+           for c in chain.clauses]
+    return build_chain(cls, chain.k)
+
+
+class TestGroupLambda:
+    def test_memo_equals_a_fresh_solve(self, monkeypatch):
+        # the memo is filled from one realization of each (type, clause
+        # width, k) and read for another
+        from detksat.table_data import REFERENCE_CHAIN_TYPES
+
+        memo = {}
+        monkeypatch.setattr(local_search, "_GROUP_LAMBDAS", memo)
+        rng = random.Random(7)
+        chains = [(z, canonical_realization(z), k) for z in dict.fromkeys(z for _, z, *_ in REFERENCE_CHAIN_TYPES)
+                  for k in (3, 4, 5)]
+        chains += [("*", build_chain([clause(range(1, k + 1))], k), k) for k in (4, 5, 6)]
+        for z, chain, k in chains:
+            group_lambda(z, chain, k)
+            other = _relabeled(chain, rng)
+            assert canonical_zeta(zeta(other.clauses)) == canonical_zeta(z)
+            assert group_lambda(z, other, k) == characteristic_for_chain(other, k).lam, (z, k)
+        assert len(memo) == len(chains)
+        for k in (4, 5, 6):
+            assert memo["*", k, k] == lambda_1chain(k)
+        # one type, two clause widths, two values
+        assert memo["*", 3, 4] != memo["*", 4, 4]
