@@ -10,11 +10,12 @@ to the local search than to the branching.
 from detksat import formula, member, procedure_p_tracked, tb_set
 from detksat.branching3 import Br3Stats, PhiConfig, br_3
 from detksat.chains import ChainVector, zeta
+from detksat.formula import Node
 from detksat.branching3 import condition_phi
 from detksat.generator import gen_random_kcnf
 
 print("=== the derived-2-clause sets that drive everything ===")
-f = formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)])
+f = Node.of(formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)]))
 tb = tb_set(f, 1)
 print("propagating x1=1 turns (-1 3 4) into", [member(f, tb, s).lits for s in tb.src])
 tb = tb_set(f, 2)
@@ -24,7 +25,7 @@ print()
 print("=== simplification in action ===")
 g = formula(4, [(1, 2), (-1, 3, 4)])
 print("before:", [c.lits for c in g.clauses])
-print("after: ", [c.lits for c in procedure_p_tracked(g)[0].clauses], "(autark committed x2=1)")
+print("after: ", [c.lits for c in procedure_p_tracked(Node.of(g))[0].formula().clauses], "(autark committed x2=1)")
 
 print()
 print("=== the termination condition's arithmetic ===")

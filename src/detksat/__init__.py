@@ -68,7 +68,6 @@ from .formula import (
     satisfies,
     serialize_dimacs,
     solve_2sat,
-    up_restrict,
 )
 from .generator import Lcg, gen_random_kcnf
 from .local_search import dls, searchball

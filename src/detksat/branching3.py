@@ -3,10 +3,11 @@
 Depth-first search on an explicit node stack: simplify, stop on a falsified
 clause, stop when the accumulated chains are worth handing to local search
 (condition Phi), decide 2-CNFs in polynomial time, otherwise branch a 2-clause
-chosen by the seeding rule. The sequence of branching clauses (in original
-form) grows chains whose adjacent overlaps are independent/negative/positive/
-two-negative; the two-negative case is expanded as an amortized 7-branch
-composite so its branch-number accounting matches an actual tree shape.
+chosen by the seeding rule. The sequence of branching clauses, each the input
+3-clause its derived 2-clause came from, grows chains whose adjacent
+overlaps are independent/negative/positive/two-negative; the two-negative case
+is expanded as an amortized 7-branch composite so its branch-number accounting
+matches an actual tree shape.
 
 Forced chain terminations (the doubled-branch-number rule and seed
 exhaustion) close the open chain, branch a fresh literal from a 3-clause, and
@@ -14,10 +15,11 @@ start the next chain from the resulting new 2-clause. Autark assignments are
 committed without branching.
 
 A node's formula is a ``formula.Node`` over the input clauses, indexed once
-at ``br_3`` entry. A probe is one closure, kept as its members, conflict
-flag and fixes; a forced literal's child assigns the fixes into the probed
-node, and any other child assigns 1-2 literals into its parent's bitsets.
-A ``Formula`` is built only for a 2-SAT leaf.
+at ``br_3`` entry, so a clause's index names its root clause. A probe is one
+closure, kept as its members, conflict flag and fixes; a forced literal's
+child assigns the fixes into the probed node, and any other child assigns 1-2
+literals into its parent's bitsets. A ``Formula`` is built only for a 2-SAT
+leaf.
 """
 
 from __future__ import annotations
@@ -68,21 +70,19 @@ class TbResult(NamedTuple):
 Probes = tuple[tuple[Node, TbResult], ...]
 
 
-def tb_set(f: Formula | Node, lit: int) -> TbResult:
+def tb_set(f: Node, lit: int) -> TbResult:
     """2-clauses of UP(f | lit=1) descending from 3-clauses of f: those the
-    closure shortens by one literal and leaves unsatisfied, by index in f
+    closure shortens by one literal and leaves unsatisfied, by root index
     (one mask). On a conflict the set is empty and the flag is set."""
-    f = Node.of(f)
     g, fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
     if conflict:
         return TbResult((), True, fixes)
     return TbResult(tuple(bit_indices(f.wide & g.hi & ~(g.lo | g.sat))), False, fixes)
 
 
-def member(f: Formula | Node, tb: TbResult, s: int) -> Clause:
+def member(f: Node, tb: TbResult, s: int) -> Clause:
     """The member 2-clause of probe ``tb`` of f that descends from clause s."""
-    c = f.clauses[s]
-    return Clause(tuple([l for l in c.lits if abs(l) not in tb.fixes]), c.orig)
+    return Clause(tuple([l for l in f.clauses[s].lits if abs(l) not in tb.fixes]))
 
 
 def _probe(probes: dict[int, TbResult], f: Node, lit: int) -> TbResult:
@@ -126,13 +126,13 @@ def _after_cut(tb: TbResult, s: int, cut: int, rest: tuple[int, ...]) -> Optiona
     return None
 
 
-def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, int]]:
+def procedure_p_tracked(f: Node) -> tuple[Node, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
-    3-clause-to-2-clause replacement. Returns f simplified (of f's kind) and
-    the fixed variables. A replacement keeps every probe whose closure it
-    provably leaves unchanged (``_after_cut``), and a 2-clause that did
-    nothing is not scanned again while both its probes are kept unchanged."""
-    g, fixes, conflict = propagate(Node.of(f), {})
+    3-clause-to-2-clause replacement. Returns f simplified and the fixed
+    variables. A replacement keeps every probe whose closure it provably
+    leaves unchanged (``_after_cut``), and a 2-clause that did nothing is not
+    scanned again while both its probes are kept unchanged."""
+    g, fixes, conflict = propagate(f, {})
     clauses = g.clauses
     # propagated once: neither step below leaves a unit clause, since a
     # commit adopts a complete, conflict-free closure and a replacement
@@ -170,18 +170,19 @@ def procedure_p_tracked(f: Formula | Node) -> tuple[Formula | Node, dict[int, in
             quiet[i] = (l1, l2)
         else:
             break
-    return (g, fixes) if isinstance(f, Node) else (g.formula(), fixes)
+    return g, fixes
 
 
-def rule_upsilon(pending: Probes, assigned: Container[int]) -> Optional[Clause]:
-    """First usable member of the parent's seed probes, or None: branch a
-    fresh literal. Probes are tried in order and their members in clause
-    order; a member is usable when both its variables are unassigned."""
+def rule_upsilon(pending: Probes, assigned: Container[int]) -> Optional[tuple[Clause, int]]:
+    """First usable member of the parent's seed probes with its root index,
+    or None: branch a fresh literal. Probes are tried in order and their
+    members in clause order; a member is usable when both its variables are
+    unassigned."""
     for f, tb in pending:
         for s in tb.src:
             m = member(f, tb, s)
             if abs(m.lits[0]) not in assigned and abs(m.lits[1]) not in assigned:
-                return m
+                return m, s
     return None
 
 
@@ -218,7 +219,7 @@ class _ClosedChain:
 
 @dataclass(frozen=True)
 class _Path:
-    """One root-to-node path: its closed chains, the open chain's original
+    """One root-to-node path: its closed chains, the open chain's root
     clauses and overlap symbols, the depth, the fresh-literal splits charged,
     and whether the next split is free (it follows a chain's closing)."""
 
@@ -301,8 +302,8 @@ class _Search:
         if path.origs and (len(path.origs) >= TAU_CAP or forced_termination(z, lambda_for_zeta(z))):
             return (yield f, alpha, self._close(path, True), ())
 
-        sel = rule_upsilon(pending, alpha)
-        if sel is None:
+        picked = rule_upsilon(pending, alpha)
+        if picked is None:
             # a conflicting seed is a unit consequence against this branch;
             # one without a usable member falls through to a fresh literal
             if pending and all(tb.conflict for _, tb in pending):
@@ -311,12 +312,13 @@ class _Search:
                 return (yield f, alpha, self._close(path, True), ())
             return (yield from self.fresh(f, alpha, path))
 
+        sel, s = picked
         sym = "-"
         if path.origs:
-            sym = overlap_symbol(path.origs[-1].lits, sel.orig)
+            sym = overlap_symbol(path.origs[-1].lits, f.clauses[s].lits)
             assert sym in "*np", sym
             path = self._close(path, False) if sym == "*" else replace(path, syms=path.syms + sym)
-        path = replace(path, origs=path.origs + (Clause(sel.orig, sel.orig),))
+        path = replace(path, origs=path.origs + (f.clauses[s],))
 
         if self.trace:
             self.trace(
@@ -327,9 +329,9 @@ class _Search:
         u, w = sel.lits
         tbu = tb_set(f, u)
         if len(path.origs) < TAU_CAP and tbu.src:
-            orig = f.clauses[tbu.src[0]].orig
-            if -u in orig and -w in orig:
-                return (yield from self._bundle(f, alpha, path, (u, w), orig))
+            c = f.clauses[tbu.src[0]]
+            if -u in c.lits and -w in c.lits:
+                return (yield from self._bundle(f, alpha, path, (u, w), c))
         probes = ((f, tbu), (f, tb_set(f, w)))
         for bits in ((0, 1), (1, 0), (1, 1)):
             add = lit_values((u, w), bits)
@@ -339,12 +341,12 @@ class _Search:
                 return sub
         return UNSAT
 
-    def _bundle(self, f, alpha, path: _Path, uw, orig) -> SearchGen:
-        """The two-negative composite: the clause ``orig`` joins the open
+    def _bundle(self, f, alpha, path: _Path, uw, c: Clause) -> SearchGen:
+        """The two-negative composite: the root clause c joins the open
         chain, and one child per pattern of BUNDLE_PATTERNS; the children
         that set its third literal false close the chain."""
-        l3 = next(l for l in orig if abs(l) not in (abs(uw[0]), abs(uw[1])))
-        path = replace(path, origs=path.origs + (Clause(orig, orig),), syms=path.syms + "t").child()
+        l3 = next(l for l in c.lits if abs(l) not in (abs(uw[0]), abs(uw[1])))
+        path = replace(path, origs=path.origs + (c,), syms=path.syms + "t").child()
         shared = None
         for bu, bw, b3 in BUNDLE_PATTERNS:
             if (bu, bw) != shared:
@@ -412,10 +414,6 @@ def br_3(
     instance of chains for the local search."""
     if f.width() > 3:
         raise ValueError("br_3 expects a 3-CNF")
-    if any(c.lits != c.orig for c in f.clauses):
-        # the chains are built from the clauses given here, not from the
-        # wider clauses a width-k branching restricted them from
-        f = Formula(f.n, tuple(Clause(c.lits, c.lits) for c in f.clauses))
     cfg = cfg or PhiConfig()
     stats = stats if stats is not None else Br3Stats()
     search = _Search(cfg, stats, trace)

@@ -172,7 +172,7 @@ def overlap_symbol(a: Sequence[int], b: Sequence[int]) -> str:
 
 
 def zeta(clauses_: Sequence[Clause]) -> str:
-    """Type string of a clause sequence given in original form."""
+    """Type string of a clause sequence, each clause as the formula gave it."""
     syms = [
         overlap_symbol(clauses_[i].lits, clauses_[i + 1].lits)
         for i in range(len(clauses_) - 1)

@@ -1,13 +1,13 @@
 """CNF formulas: DIMACS I/O, restriction, unit propagation, 2-SAT, brute force.
 
-Literals are signed DIMACS integers (variable v is ``v``/``-v``). Every clause
-remembers its original form ``orig``: a clause of the formula the 3-SAT
-branching was given, which it descends from. A zero-literal clause is the
-falsified clause (bottom).
+Literals are signed DIMACS integers (variable v is ``v``/``-v``). A clause
+is its tuple of literals; a zero-literal clause is the falsified clause
+(bottom).
 
 The 3-SAT branching works on a ``Node``: a formula's clauses, indexed once
 as per-literal clause bitsets (``Formula.lit_masks``), under an assignment
-and 3->2 replacements; ``propagate`` is its unit-propagation closure.
+and 3->2 replacements; ``propagate`` is its unit-propagation closure. At a
+node, a clause is named by its index in that formula, the root.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of literals plus a reference to its original form."""
+    """Disjunction of literals."""
 
     lits: tuple[int, ...]
-    orig: tuple[int, ...]
 
     @property
     def width(self) -> int:
@@ -49,7 +48,7 @@ def clause(lits: Iterable[int]) -> Clause:
     lits = tuple(lits)
     if len({abs(l) for l in lits}) != len(lits):
         raise ValueError("duplicate variable in clause: %r" % (lits,))
-    return Clause(lits, lits)
+    return Clause(lits)
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def parse_dimacs(text: str) -> Formula:
                         )
                     if l not in seen:
                         seen.append(l)
-                clauses.append(Clause(tuple(seen), tuple(seen)))
+                clauses.append(Clause(tuple(seen)))
                 cur = []
                 cur_line = None
             else:
@@ -198,7 +197,7 @@ def lit_values(lits: Iterable[int], bits: Iterable[int]) -> dict[int, int]:
 def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
     """Fix variables per alpha: drop satisfied clauses, strip false literals.
 
-    A fully falsified clause becomes bottom. Original forms are preserved.
+    A fully falsified clause becomes bottom.
     """
     out: list[Clause] = []
     for c in f.clauses:
@@ -213,7 +212,7 @@ def restrict(f: Formula, alpha: Mapping[int, int]) -> Formula:
             else:
                 lits.append(l)
         if not sat:
-            out.append(c if len(lits) == len(c.lits) else Clause(tuple(lits), c.orig))
+            out.append(c if len(lits) == len(c.lits) else Clause(tuple(lits)))
     return Formula(f.n, tuple(out))
 
 
@@ -269,10 +268,8 @@ class Node(NamedTuple):
     masks: dict[int, int]
 
     @staticmethod
-    def of(f: "Formula | Node") -> "Node":
-        """The node of f, no variable assigned (f itself if a node)."""
-        if isinstance(f, Node):
-            return f
+    def of(f: Formula) -> "Node":
+        """The node of f, no variable assigned."""
         if f.width() > 3:
             raise ValueError("a node holds clauses of width <= 3, got %d" % f.width())
         lo = sum((c.width & 1) << i for i, c in enumerate(f.clauses))
@@ -316,9 +313,9 @@ class Node(NamedTuple):
         return Node(root, full, sat, lo ^ bit, hi ^ (bit & ~lo), fixed, masks)
 
     def formula(self) -> Formula:
-        """The unsatisfied clauses at the node, in order, keeping ``orig``."""
+        """The unsatisfied clauses at the node, in root order."""
         live = bit_indices(self.full & ~self.sat)
-        return Formula(self.root.n, tuple(Clause(self.lits(i), self.clauses[i].orig) for i in live))
+        return Formula(self.root.n, tuple(Clause(self.lits(i)) for i in live))
 
 
 def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple[Node, dict[int, int], bool]:
@@ -352,21 +349,6 @@ def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple
                 break
         fixes[abs(l)] = 1 if l > 0 else 0
         todo = (l,)
-
-
-@dataclass
-class UpResult:
-    formula: Formula
-    fixes: dict[int, int]
-    conflict: bool
-
-
-def up_restrict(f: Formula, alpha: Mapping[int, int]) -> UpResult:
-    """UP(f | alpha): the restricted formula, every fix (alpha first) and
-    whether a clause was falsified; f has width at most 3.
-    ``up_restrict(f, {})`` propagates f's own unit clauses."""
-    _, fixes, conflict = propagate(Node.of(f), alpha)
-    return UpResult(restrict(f, fixes) if fixes else f, fixes, conflict)
 
 
 # ---------------------------------------------------------------------------

@@ -54,5 +54,5 @@ def gen_random_kcnf(k: int, n: int, m: int, seed: int) -> Formula:
             if len(set(vs)) == k:
                 break
         lits = tuple(v if rng.bit() else -v for v in vs)
-        clauses.append(Clause(lits, lits))
+        clauses.append(Clause(lits))
     return Formula(n, tuple(clauses))

@@ -28,7 +28,7 @@ from detksat.covering import (
     ell_for,
     verify_coverage,
 )
-from detksat.formula import brute_force_sat, clause, satisfies
+from detksat.formula import Node, brute_force_sat, clause, satisfies
 from detksat.generator import gen_random_kcnf
 from detksat.table_data import REFERENCE_CHAIN_TYPES
 
@@ -219,10 +219,10 @@ def test_criterion_08_simplification_rules():
         while checked < 1000:
             n = rng.randint(4, 12)
             f = gen_random_kcnf(3, n, rng.randint(4, 5 * n), rng.randint(0, 10**7))
-            g = procedure_p_tracked(f)[0]
-            assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
+            g = procedure_p_tracked(Node.of(f))[0]
+            assert (brute_force_sat(f) is None) == (brute_force_sat(g.formula()) is None)
             if not g.has_bottom:
-                for c in g.clauses:
+                for c in g.formula().clauses:
                     if c.width != 2:
                         continue
                     l1, l2 = c.lits

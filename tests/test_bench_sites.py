@@ -20,9 +20,9 @@ def test_tracer_sites_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert local_search.structured_space_for is original
-    # the 3-SAT branching restricts no formula and calls no up_restrict (it
-    # works on clause bitsets), and procedure P's second copy is deleted:
-    # these spans read 0
+    # the 3-SAT branching restricts no formula (it works on clause bitsets),
+    # and up_restrict and procedure P's second copy are deleted: these
+    # spans read 0
     assert tracer.missing == [
         "detksat.branching3.restrict",
         "detksat.branching3.up_restrict",

@@ -28,9 +28,9 @@ from detksat.formula import (
     bit_indices,
     brute_force_sat,
     formula,
+    propagate,
     restrict,
     satisfies,
-    up_restrict,
 )
 from detksat.branching_k import solve_ksat
 from detksat.generator import gen_random_kcnf
@@ -45,22 +45,22 @@ def lits(f):
 
 class TestTbSet:
     def test_direct(self):
-        f = formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)])
+        f = Node.of(formula(7, [(1, 2), (-1, 3, 4), (5, 6, 7)]))
         tb = tb_set(f, 1)
         assert not tb.conflict
         assert [member(f, tb, s).lits for s in tb.src] == [(3, 4)]
-        assert member(f, tb, tb.src[0]).orig == (-1, 3, 4)
+        assert f.clauses[tb.src[0]].lits == (-1, 3, 4)
         assert tb.src == (1,)
         assert tb.fixes == {1: 1}
 
     def test_autark_case(self):
-        f = formula(4, [(1, 2), (-1, 3, 4)])
+        f = Node.of(formula(4, [(1, 2), (-1, 3, 4)]))
         tb = tb_set(f, 2)
         assert not tb.conflict and tb.src == ()
-        assert lits(up_restrict(f, tb.fixes).formula) == [(-1, 3, 4)]
+        assert lits(propagate(f, tb.fixes)[0].formula()) == [(-1, 3, 4)]
 
     def test_conflict_flag(self):
-        f = formula(2, [(1,), (-1,)])
+        f = Node.of(formula(2, [(1,), (-1,)]))
         tb = tb_set(f, 2)
         assert tb.conflict and tb.src == ()
 
@@ -68,48 +68,43 @@ class TestTbSet:
 class TestProcedureP:
     def test_autark_simplification(self):
         f = formula(4, [(1, 2), (-1, 3, 4)])
-        assert lits(procedure_p_tracked(f)[0]) == [(-1, 3, 4)]
+        assert lits(procedure_p_tracked(Node.of(f))[0].formula()) == [(-1, 3, 4)]
 
     def test_autark_priority_over_replacement(self):
         # x2=1 satisfies both clauses, so the autark case fires and wipes
         # the formula entirely
         f = formula(3, [(1, 2), (-1, 2, 3)])
-        assert procedure_p_tracked(f)[0].clauses == ()
+        assert procedure_p_tracked(Node.of(f))[0].formula().clauses == ()
 
     def test_replacement_when_no_autark(self):
         # neither literal of (x1 v x2) is autark at first; propagating x1=1
         # turns (-1 2 3) into (2 3), which contains x2, so the 3-clause is
         # replaced -- which then unlocks autarks for x1 and x3
         f = formula(5, [(1, 2), (-1, 2, 3), (-2, 4, 5), (-3, 1, 4)])
-        g, fixes = procedure_p_tracked(f)
-        assert lits(g) == [(-2, 4, 5)]
+        g, fixes = procedure_p_tracked(Node.of(f))
+        assert lits(g.formula()) == [(-2, 4, 5)]
         assert fixes == {1: 1, 3: 1}
-        assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
+        assert (brute_force_sat(f) is None) == (brute_force_sat(g.formula()) is None)
 
     def test_replacement_member_from_second_probe(self):
         # propagating x1=1 derives only (4 5); propagating x2=1 derives
         # (1 3) from (-2 1 3), which contains x1 and replaces that clause
         f = formula(7, [(1, 2), (-1, 4, 5), (-2, 1, 3), (-3, 6, 7), (-4, -5, 6)])
-        g, fixes = procedure_p_tracked(f)
-        assert [(c.lits, c.orig) for c in g.clauses] == [
-            ((-1, 4, 5), (-1, 4, 5)),
-            ((1, 3), (-2, 1, 3)),
-            ((-3, 6, 7), (-3, 6, 7)),
-            ((-4, -5, 6), (-4, -5, 6)),
-        ]
+        g, fixes = procedure_p_tracked(Node.of(f))
+        assert _at(g) == [(1, (-1, 4, 5)), (2, (1, 3)), (3, (-3, 6, 7)), (4, (-4, -5, 6))]
         assert fixes == {2: 1}
 
     def test_no_replacement_by_a_fixed_other_literal(self):
         # propagating x1=1 also fixes x2=0, so the member (3 4) of (2 3 4)
         # no longer contains x2 and nothing is replaced
-        f = formula(6, [(1, 2), (-1, -2), (2, 3, 4), (-2, 5, 6)])
+        f = Node.of(formula(6, [(1, 2), (-1, -2), (2, 3, 4), (-2, 5, 6)]))
         g, fixes = procedure_p_tracked(f)
         assert g == f and fixes == {}
 
     def test_fixpoint_input(self):
         f = formula(8, [(1, 2), (-1, 3, 4), (-2, 5, 6), (-3, 7, 8)])
-        g = procedure_p_tracked(f)[0]
-        assert lits(g) == lits(procedure_p_tracked(g)[0])
+        g = procedure_p_tracked(Node.of(f))[0]
+        assert lits(g.formula()) == lits(procedure_p_tracked(g)[0].formula())
 
     def test_preserves_satisfiability_and_postcondition(self):
         rng = random.Random(31)
@@ -117,8 +112,8 @@ class TestProcedureP:
         while checked < 1000:
             n = rng.randint(4, 12)
             f = gen_random_kcnf(3, n, rng.randint(4, 5 * n), rng.randint(0, 10**7))
-            g = procedure_p_tracked(f)[0]
-            assert (brute_force_sat(f) is None) == (brute_force_sat(g) is None)
+            g = procedure_p_tracked(Node.of(f))[0]
+            assert (brute_force_sat(f) is None) == (brute_force_sat(g.formula()) is None)
             if not g.has_bottom:
                 self._assert_postcondition(g)
             checked += 1
@@ -128,7 +123,7 @@ class TestProcedureP:
         # after the fixpoint: for every 2-clause (l1 v l2), propagating
         # either literal yields no 2-clause containing the other, and the
         # member set is nonempty unless the propagation conflicts
-        for c in g.clauses:
+        for c in g.formula().clauses:
             if c.width != 2:
                 continue
             l1, l2 = c.lits
@@ -142,9 +137,10 @@ class TestProcedureP:
 
 class TestRuleUpsilon:
     def test_seeded_selection(self):
-        f = formula(7, [(1, 2), (-1, 3, 4), (-3, 5, 6)])
-        got = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
+        f = Node.of(formula(7, [(1, 2), (-1, 3, 4), (-3, 5, 6)]))
+        got, s = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
         assert got.lits == (3, 4)
+        assert s == 1
 
     def test_root_needs_fresh(self):
         assert rule_upsilon((), set()) is None
@@ -152,9 +148,10 @@ class TestRuleUpsilon:
     def test_viability_skips_assigned_members(self):
         # the first member's variables are burned by the branch; the next
         # viable member is returned instead
-        f = formula(8, [(1, 2), (-1, 2, 3), (-1, 4, 5)])
-        got = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
+        f = Node.of(formula(8, [(1, 2), (-1, 2, 3), (-1, 4, 5)]))
+        got, s = rule_upsilon(((f, tb_set(f, 1)),), {1, 2})
         assert got.lits == (4, 5)
+        assert s == 2
 
 
 class TestConditionPhi:
@@ -327,7 +324,7 @@ PINNED_WORK = {
         ('u', 9, 6, 1, 2, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('s', 2, 1, 1, 1, 0, 0), ('u', 9, 6, 1, 2, 0, 0),
     ],
 }
-PINNED_DIGEST = "679e7914aa58b29f1efaa6a6b5af619ebce46fc3839d425f3d5e05e5fbc250c7"
+PINNED_DIGEST = "6350b6acd26524a0912ebd30445ed3be238fd95ae85c850467a2ce352573cd7f"
 
 
 class TestPinnedWork:
@@ -361,7 +358,7 @@ def _ref_up(f, alpha):
     src = []
     for i, c in enumerate(f.clauses):
         if not any((fixes.get(abs(l)) == 1) == (l > 0) for l in c.lits if abs(l) in fixes):
-            cls.append(Clause(tuple(l for l in c.lits if abs(l) not in fixes), c.orig))
+            cls.append(Clause(tuple(l for l in c.lits if abs(l) not in fixes)))
             src.append(i)
     while not any(c.is_bottom for c in cls):
         unit = next((c for c in cls if c.width == 1), None)
@@ -370,7 +367,7 @@ def _ref_up(f, alpha):
         (l,) = unit.lits
         fixes[abs(l)] = 1 if l > 0 else 0
         keep = [(c, s) for c, s in zip(cls, src) if l not in c.lits]
-        cls = [Clause(tuple(x for x in c.lits if x != -l), c.orig) for c, _ in keep]
+        cls = [Clause(tuple(x for x in c.lits if x != -l)) for c, _ in keep]
         src = [s for _, s in keep]
     return cls, src, fixes, True
 
@@ -385,9 +382,10 @@ def _ref_tb(f, lit):
 
 
 def _ref_procedure_p(f, scans=None):
-    """Reference P, probing afresh at every scan; ``scans`` gets one list
-    per scan of the literals probed in it."""
-    cls, _, fixes, conflict = _ref_up(f, {})
+    """Reference P, probing afresh at every scan: (formula, fixes, the index
+    in f of each of its clauses); ``scans`` gets one list per scan of the
+    literals probed in it."""
+    cls, index, fixes, conflict = _ref_up(f, {})
     f = Formula(f.n, tuple(cls))
     while not conflict:
         if scans is not None:
@@ -402,8 +400,9 @@ def _ref_procedure_p(f, scans=None):
                     scans[-1].append(lit)
                 tb = _ref_tb(f, lit)
                 if not tb[2] and not tb[0]:  # autark: commit it
-                    cls, _, fx, _ = _ref_up(f, {abs(lit): 1 if lit > 0 else 0})
+                    cls, src, fx, _ = _ref_up(f, {abs(lit): 1 if lit > 0 else 0})
                     f = Formula(f.n, tuple(cls))
+                    index = [index[s] for s in src]
                     fixes.update(fx)
                     break
                 probes.append(tb)
@@ -419,15 +418,22 @@ def _ref_procedure_p(f, scans=None):
                 f = Formula(f.n, tuple(new))
             break
         else:
-            return f, fixes
-        cls, _, fx, conflict = _ref_up(f, {})
+            return f, fixes, index
+        cls, src, fx, conflict = _ref_up(f, {})
         f = Formula(f.n, tuple(cls))
+        index = [index[s] for s in src]
         fixes.update(fx)
-    return f, fixes
+    return f, fixes, index
 
 
-def _shape(clauses):
-    return [(c.lits, c.orig) for c in clauses]
+def _shape(index, clauses):
+    """Clauses as (root index, literals) pairs."""
+    return [(i, c.lits) for i, c in zip(index, clauses, strict=True)]
+
+
+def _at(node):
+    """The node's unsatisfied clauses as (root index, literals) pairs."""
+    return _shape(bit_indices(node.full & ~node.sat), node.formula().clauses)
 
 
 @st.composite
@@ -447,27 +453,35 @@ def _cnf_and_alpha(draw):
 class TestPropagationMatchesRescan:
     @settings(max_examples=400, deadline=None)
     @given(_cnf_and_alpha())
-    def test_up_restrict_and_unit_propagate(self, case):
+    def test_propagate(self, case):
         f, alpha = case
-        for got, want in ((up_restrict(f, alpha), _ref_up(f, alpha)), (up_restrict(f, {}), _ref_up(f, {}))):
-            cls, src, fixes, conflict = want
-            assert _shape(got.formula.clauses) == _shape(cls)
-            assert list(got.fixes.items()) == list(fixes.items())
-            assert got.conflict == conflict
+        node = Node.of(f)
+        for a in (alpha, {}):
+            got, got_fixes, got_conflict = propagate(node, a)
+            cls, src, fixes, conflict = _ref_up(f, a)
+            # at a node with a falsified clause, nothing is assigned
+            assert got == (node if node.has_bottom else node.assign(got_fixes))
+            assert _at(node.assign(got_fixes)) == _shape(src, cls)
+            assert list(got_fixes.items()) == list(fixes.items())
+            assert got_conflict == conflict
 
     @settings(max_examples=300, deadline=None)
     @given(_cnf_and_alpha())
     def test_tb_set_and_procedure_p(self, case):
         f, _ = case
-        g, fixes = procedure_p_tracked(f)
-        rg, rfixes = _ref_procedure_p(f)
-        assert _shape(g.clauses) == _shape(rg.clauses)
+        g, fixes = procedure_p_tracked(Node.of(f))
+        rg, rfixes, rindex = _ref_procedure_p(f)
+        assert _at(g) == _shape(rindex, rg.clauses)
         assert list(fixes.items()) == list(rfixes.items())
-        for h in (f, g):
-            for lit in sorted({l for c in h.clauses for l in c.lits}):
+        for h in (Node.of(f), g):
+            # the probes of the node against those of its formula, whose
+            # clause j is the node's clause index[j]
+            hf, index = h.formula(), list(bit_indices(h.full & ~h.sat))
+            for lit in sorted({l for c in hf.clauses for l in c.lits}):
                 tb = tb_set(h, lit)
-                members, src, conflict, fx = _ref_tb(h, lit)
-                assert _shape([member(h, tb, s) for s in tb.src]) == _shape(members)
+                members, src, conflict, fx = _ref_tb(hf, lit)
+                src = [index[s] for s in src]
+                assert _shape(tb.src, [member(h, tb, s) for s in tb.src]) == _shape(src, members)
                 assert list(tb.src) == src
                 assert tb.conflict == conflict
                 assert list(tb.fixes.items()) == list(fx.items())
@@ -503,7 +517,7 @@ def _walk(f, steps):
             i, ls = wide[a % len(wide)]
             node = node.remove(i, ls[b % 3])
             rows = [(j, tuple(l for l in ls2 if l != ls[b % 3]) if j == i else ls2) for j, ls2 in rows]
-    g = Formula(f.n, tuple(Clause(ls, f.clauses[i].orig) for i, ls in rows))
+    g = Formula(f.n, tuple(Clause(ls) for _, ls in rows))
     return node, g, [i for i, _ in rows]
 
 
@@ -513,21 +527,23 @@ class TestNodeMatchesRebuiltFormula:
     def test_closure_probes_and_procedure_p(self, case):
         node, g, index = _walk(*case)
         f = node.root
-        assert _shape(node.formula().clauses) == _shape(g.clauses)
+        assert _at(node) == _shape(index, g.clauses)
         assert node.has_bottom == g.has_bottom
         # assigned variables too: at the node, as in g, they are in no clause
         for lit in sorted(l for v in range(1, f.n + 1) for l in (v, -v)):
             tb = tb_set(node, lit)
             members, src, conflict, fixes = _ref_tb(g, lit)
-            assert list(tb.src) == [index[s] for s in src]
-            assert _shape([member(node, tb, s) for s in tb.src]) == _shape(members)
+            src = [index[s] for s in src]
+            assert list(tb.src) == src
+            assert _shape(tb.src, [member(node, tb, s) for s in tb.src]) == _shape(src, members)
             assert tb.conflict == conflict
             assert list(tb.fixes.items()) == list(fixes.items())
             if not conflict and not g.has_bottom:
-                assert _shape(node.assign(tb.fixes).formula().clauses) == _shape(_ref_up(g, tb.fixes)[0])
+                cls, rsrc = _ref_up(g, tb.fixes)[:2]
+                assert _at(node.assign(tb.fixes)) == _shape([index[s] for s in rsrc], cls)
         got, fixes = procedure_p_tracked(node)
-        ref, rfixes = _ref_procedure_p(g)
-        assert _shape(got.formula().clauses) == _shape(ref.clauses)
+        ref, rfixes, rindex = _ref_procedure_p(g)
+        assert _at(got) == _shape([index[s] for s in rindex], ref.clauses)
         assert list(fixes.items()) == list(rfixes.items())
 
 
@@ -586,9 +602,9 @@ class TestProbeReuse:
         for g in REUSE_CASES:
             fresh.clear()
             scans = []
-            got, fixes = procedure_p_tracked(g)
-            ref, rfixes = _ref_procedure_p(g, scans)
-            assert _shape(got.clauses) == _shape(ref.clauses)
+            got, fixes = procedure_p_tracked(Node.of(g))
+            ref, rfixes, rindex = _ref_procedure_p(g, scans)
+            assert _at(got) == _shape(rindex, ref.clauses)
             assert list(fixes.items()) == list(rfixes.items())
             # a table kept only within one scan would probe each literal of
             # a scan once; a commit clears the table, so fewer fresh probes
@@ -643,10 +659,12 @@ class TestKeptProbesMatchFresh:
                         assert kept.conflict or kept.fixes == want.fixes, (s, cut, l)
 
     @staticmethod
-    def _assert_matches_reference(node, g):
+    def _assert_matches_reference(node, g, index):
+        """P at the node against the reference P on g, whose clause j is the
+        node's clause index[j]."""
         got, fixes = procedure_p_tracked(node)
-        ref, rfixes = _ref_procedure_p(g)
-        assert _shape(got.formula().clauses) == _shape(ref.clauses)
+        ref, rfixes, rindex = _ref_procedure_p(g)
+        assert _at(got) == _shape([index[s] for s in rindex], ref.clauses)
         assert list(fixes.items()) == list(rfixes.items())
 
     @settings(max_examples=300, deadline=None)
@@ -654,7 +672,7 @@ class TestKeptProbesMatchFresh:
     def test_walked_nodes(self, case):
         with pytest.MonkeyPatch.context() as mp:
             self._checked(mp)
-            self._assert_matches_reference(*_walk(*case)[:2])
+            self._assert_matches_reference(*_walk(*case))
 
     def test_commit_of_a_kept_probe_keeps_the_closure_order(self):
         # a node that br_3 reached on a random 3-CNF (12 variables, 51
@@ -672,12 +690,12 @@ class TestKeptProbesMatchFresh:
         ])
         want = [(1, 0), (8, 1), (11, 0), (4, 0), (5, 0), (12, 0), (3, 0), (9, 0), (6, 1), (2, 1)]
         assert list(_ref_procedure_p(f)[1].items()) == want
-        assert list(procedure_p_tracked(f)[1].items()) == want
+        assert list(procedure_p_tracked(Node.of(f))[1].items()) == want
 
     def test_reuse_cases(self, monkeypatch):
         hits = self._checked(monkeypatch)
         for g in REUSE_CASES:
-            self._assert_matches_reference(Node.of(g), g)
+            self._assert_matches_reference(Node.of(g), g, range(len(g)))
         assert hits
 
 

@@ -4,17 +4,18 @@ import pytest
 
 from detksat.formula import (
     DimacsError,
+    Node,
     VerificationError,
     brute_force_sat,
     clause,
     formula,
     hamming,
     parse_dimacs,
+    propagate,
     restrict,
     satisfies,
     serialize_dimacs,
     solve_2sat,
-    up_restrict,
     verify_model,
 )
 from detksat.generator import gen_random_kcnf
@@ -22,6 +23,11 @@ from detksat.generator import gen_random_kcnf
 
 def lits(f):
     return [c.lits for c in f.clauses]
+
+
+def up(f):
+    """The formula unit propagation leaves of f."""
+    return propagate(Node.of(f), {})[0].formula()
 
 
 class TestParse:
@@ -85,11 +91,10 @@ class TestRestrict:
         g = restrict(f, {1: 0, 2: 0})
         assert g.has_bottom
 
-    def test_literal_elimination_keeps_orig(self):
+    def test_literal_elimination(self):
         f = formula(3, [(1, 2, 3)])
         g = restrict(f, {1: 0})
         assert lits(g) == [(2, 3)]
-        assert g.clauses[0].orig == (1, 2, 3)
 
     def test_restriction_preserves_satisfiability(self):
         rng = random.Random(7)
@@ -115,15 +120,15 @@ class TestVerifyModel:
 class TestUnitPropagation:
     def test_two_step(self):
         f = formula(4, [(1,), (-1, 2), (-2, 3, 4)])
-        assert lits(up_restrict(f, {}).formula) == [(3, 4)]
+        assert lits(up(f)) == [(3, 4)]
 
     def test_conflict(self):
         f = formula(1, [(1,), (-1,)])
-        assert up_restrict(f, {}).formula.has_bottom
+        assert up(f).has_bottom
 
     def test_fixpoint(self):
         f = formula(3, [(1, 2, 3)])
-        assert lits(up_restrict(f, {}).formula) == [(1, 2, 3)]
+        assert lits(up(f)) == [(1, 2, 3)]
 
     def test_preserves_satisfiability(self):
         rng = random.Random(11)
@@ -135,8 +140,14 @@ class TestUnitPropagation:
                 u = rng.randint(1, n) * rng.choice((1, -1))
                 f = formula(n, [c.lits for c in f.clauses] + [(u,)])
             a = brute_force_sat(f)
-            b = brute_force_sat(up_restrict(f, {}).formula)
+            b = brute_force_sat(up(f))
             assert (a is None) == (b is None)
+
+
+class TestNode:
+    def test_width_guard(self):
+        with pytest.raises(ValueError, match="a node holds clauses of width <= 3"):
+            Node.of(formula(4, [(1, 2, 3, 4)]))
 
 
 class TestTwoSat:
