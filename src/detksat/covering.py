@@ -3,18 +3,25 @@
 Words are ints; bit i of a factor's word is coordinate i, and factors are
 packed low-to-high in factor order. Greedy set cover picks the center whose
 ball covers the most uncovered words (ties break to the smallest packed
-value); the marginal-coverage counts are computed for all candidates at once
-by an XOR correlation via the Walsh-Hadamard transform. At radius 0 a ball is
-its center, so the picks are the uncovered candidates in ascending order and
-need no transform. The transform is the constant-geometry form over two
-buffers: every stage reads adjacent pairs of one buffer and writes their sums
-and differences to the two halves of the other, so each stage is two
-whole-array operations and makes no temporaries. It is exact in float64:
-every intermediate value is an integer, a signed sum over part of the input,
-and by Cauchy-Schwarz and Parseval each is at most n * sqrt(|U| * V) <= 4^width
-for n = 2^width words, |U| uncovered words and a ball of V words. A transform
-is at most BLOCK_WIDTH = 20 bits wide (2^40), or one chain space of at most 24
-bits (2^48), below 2^53.
+value). Each greedy level computes the marginal-coverage counts of all
+candidates at once by an XOR correlation via the Walsh-Hadamard transform,
+and then keeps them up to date: a pick lowers by one the count of every
+candidate whose ball holds a word the pick newly covered. When that update
+would touch more entries than two transforms cost, about (width + 1) *
+2^(width + 1), the counts are recounted by a correlation instead, before
+the next pick. At radius 0 a ball is its center, so the picks are the
+uncovered candidates in ascending order and need no transform. The
+transform is the constant-geometry form over two buffers: every stage reads
+adjacent pairs of one buffer and writes their sums and differences to the
+two halves of the other, so each stage is two whole-array operations and
+makes no temporaries. Float64 is used only inside a correlation, and is
+exact there: every intermediate value is an integer, a signed sum over part
+of the input, and by Cauchy-Schwarz and Parseval each is at most
+n * sqrt(|U| * V) <= 4^width for n = 2^width words, |U| uncovered words and a
+ball of V words. A transform is at most BLOCK_WIDTH = 20 bits wide (2^40), or
+one chain space of at most 24 bits (2^48), below 2^53. The correlation's
+result is rounded to int64 counts, which the updates keep exact, so a level
+picks the same centers as a recount at every pick would.
 
 A code is a pure function of its shape, so ``cover_cube`` (keyed by width and
 radius) and ``ell_cover_spaces`` (keyed by the spaces' widths and words, k and
@@ -213,6 +220,20 @@ def _greedy_cover(
     At radius 0 a ball is its center, so the greedy pick is always the
     smallest uncovered candidate: the level takes them in ascending order
     without a transform.
+
+    Above radius 0, counts[c] is the number of uncovered words in the ball
+    around c, or negative for a blocked candidate. One XOR correlation
+    gives the counts of the whole level; it is exact in float64 (module
+    docstring), and its result is rounded to int64 counts. A pick that
+    newly covers the words N lowers counts[x ^ b] by one for each x in N
+    and each ball offset b, which keeps every count exact. That update
+    costs |N| * |ball| and two transforms cost about (width + 1) *
+    2^(width + 1), so a pick above that drops the counts instead, and they
+    are recounted by a correlation before the next pick, if one follows.
+    The update runs in chunks of at most 2^width indices, so it holds no
+    more memory than the counts. Blocked candidates start at -1 and only
+    fall. The counts are the same integers either way, so ``argmax`` picks
+    the same center (ties to the smallest word) as a recount at every pick.
     """
     if radius == 0:
         picked = np.flatnonzero(target & candidates)[:budget]
@@ -222,17 +243,30 @@ def _greedy_cover(
     in_ball = _popcounts(width) <= radius
     ball = np.flatnonzero(in_ball)
     ball_hat = _wht(in_ball.astype(np.float64))
+    recount_cost = (width + 1) << (width + 1)
+    rows = max(1, (1 << width) // ball.shape[0])  # newly covered words per update chunk
     blocked = ~candidates
     uncovered = target.copy()
+    left = int(np.count_nonzero(uncovered))
+    counts: Optional[np.ndarray] = None
     centers: list[int] = []
-    while uncovered.any() and (budget is None or len(centers) < budget):
-        counts = _xor_correlate(uncovered, ball_hat)
-        counts[blocked] = -1
+    while left and (budget is None or len(centers) < budget):
+        if counts is None:
+            counts = _xor_correlate(uncovered, ball_hat).astype(np.int64)
+            counts[blocked] = -1
         c = int(np.argmax(counts))
         if counts[c] <= 0:
             break
         centers.append(c)
-        uncovered[ball ^ c] = False
+        new = ball ^ c
+        new = new[uncovered[new]]
+        uncovered[new] = False
+        left -= new.shape[0]
+        if new.shape[0] * ball.shape[0] > recount_cost:
+            counts = None
+        else:
+            for i in range(0, new.shape[0], rows):
+                np.subtract.at(counts, new[i : i + rows, None] ^ ball, 1)
     return centers, uncovered
 
 

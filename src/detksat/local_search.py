@@ -133,6 +133,23 @@ def _validate_instance_clauses(f: Formula, inst: Instance) -> None:
                 raise ValueError("instance clause %s not found in formula" % (c,))
 
 
+def _byte_word_tables(coord_vars: tuple[int, ...]) -> list[list[int]]:
+    """Assignment-word bits set by each byte of a center.
+
+    Coordinate i of a center is variable ``coord_vars[i]``, bit v-1 of the
+    assignment word. Table j maps the byte of coordinates 8j..8j+7 to the
+    word bits of its ones, so a center's word is the union of one entry per
+    byte (``Formula.byte_sat_tables`` reads a word the same way).
+    """
+    tables = []
+    for base in range(0, len(coord_vars), 8):
+        tab = [0]
+        for v in coord_vars[base : base + 8]:
+            tab += [t | 1 << (v - 1) for t in tab]
+        tables.append(tab)
+    return tables
+
+
 def dls(
     f: Formula,
     inst: Optional[Instance] = None,
@@ -156,12 +173,13 @@ def dls(
     family = build_generalized_code(space, lams, k)
     if stats is not None:
         stats.code_sizes = {r: len(cs) for r, cs in family.entries.items()}
-    coord_vars = space.coordinate_variables()
+    word_tables = _byte_word_tables(space.coordinate_variables())
     for r in family.radii():
         for center in family.entries[r]:
-            word = 0
-            for i, v in enumerate(coord_vars):
-                word |= ((center >> i) & 1) << (v - 1)
+            word, rest = 0, center
+            for table in word_tables:
+                word |= table[rest & 255]
+                rest >>= 8
             if stats is not None:
                 stats.balls_searched += 1
             hit = searchball(f, word, r)

@@ -327,6 +327,12 @@ class TestCover:
         out = capsys.readouterr().out
         assert "verified" in out
 
+    def test_cube_16_radius_2(self, capsys):
+        assert main(["cover", "--cube", "16", "--rho", "1/8"]) == 0
+        out = capsys.readouterr().out
+        assert "radius 2: 1024 centers\n" in out
+        assert "coverage: verified (65536 words)" in out
+
     def test_zeta(self, capsys):
         assert main(["cover", "--zeta", "*", "--nu", "2"]) == 0
         out = capsys.readouterr().out

@@ -79,6 +79,39 @@ def brute_greedy(width, radius, target, candidates, budget):
     return centers, uncovered
 
 
+def recount_greedy(width, radius, target, candidates, budget):
+    """Greedy ball cover recounting every candidate's coverage with one XOR
+    correlation per pick: the reference for ``_greedy_cover``'s kept counts.
+    Same picks as ``brute_greedy``, at widths it cannot reach."""
+    in_ball = covering._popcounts(width) <= radius
+    ball = np.flatnonzero(in_ball)
+    ball_hat = covering._wht(in_ball.astype(np.float64))
+    uncovered = target.copy()
+    centers = []
+    while uncovered.any() and (budget is None or len(centers) < budget):
+        counts = covering._xor_correlate(uncovered, ball_hat)
+        counts[~candidates] = -1
+        c = int(np.argmax(counts))
+        if counts[c] <= 0:
+            break
+        centers.append(c)
+        uncovered[ball ^ c] = False
+    return centers, uncovered
+
+
+def count_transforms(monkeypatch):
+    """Patch ``covering._wht`` to record the length of every transform."""
+    calls = []
+    wht = covering._wht
+
+    def counting_wht(v):
+        calls.append(v.shape[0])
+        return wht(v)
+
+    monkeypatch.setattr(covering, "_wht", counting_wht)
+    return calls
+
+
 class TestWalshHadamard:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -121,15 +154,53 @@ class TestGreedyCover:
         assert centers == expect_centers
         assert uncovered.tolist() == expect_uncovered
 
+    # radius 1 at width 12: every pick newly covers at most 13 words, so
+    # only the update runs; radius 5 at width 9: the first pick covers the
+    # 382-word ball, above the (9 + 1) * 2^10 cost of a recount
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.integers(9, 14),
+        radius=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        target_p=st.sampled_from([0.05, 0.5, 1.0]),
+        candidate_p=st.sampled_from([0.1, 0.6, 1.0]),
+        budget=st.none() | st.integers(0, 24),
+    )
+    @example(width=12, radius=1, seed=3, target_p=1.0, candidate_p=1.0, budget=None)
+    @example(width=9, radius=5, seed=4, target_p=1.0, candidate_p=0.6, budget=None)
+    def test_matches_recount_greedy(
+        self, width, radius, seed, target_p, candidate_p, budget
+    ):
+        n = 1 << width
+        rng = np.random.default_rng(seed)
+        target = rng.random(n) < target_p
+        candidates = rng.random(n) < candidate_p
+        centers, uncovered = covering._greedy_cover(
+            width, radius, target, candidates, budget
+        )
+        expect_centers, expect_uncovered = recount_greedy(
+            width, radius, target, candidates, budget
+        )
+        assert centers == expect_centers
+        assert np.array_equal(uncovered, expect_uncovered)
+
+    def test_updates_replace_recounts(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        fam = cover_cube.__wrapped__(12, 1)
+        # the ball's transform and one correlation (two), against one
+        # correlation per center before
+        assert calls == [1 << 12] * 3
+        assert len(fam.entries[1]) == 512
+
+    def test_large_pick_recounts(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        target = np.ones(1 << 9, dtype=bool)
+        centers, _ = covering._greedy_cover(9, 5, target, target)
+        assert 3 < len(calls) <= 1 + 2 * len(centers)
+        assert centers == recount_greedy(9, 5, target, target, None)[0]
+
     def test_radius0_runs_no_transform(self, monkeypatch):
-        calls = []
-        wht = covering._wht
-
-        def counting_wht(v):
-            calls.append(v.shape[0])
-            return wht(v)
-
-        monkeypatch.setattr(covering, "_wht", counting_wht)
+        calls = count_transforms(monkeypatch)
         target = np.ones(256, dtype=bool)
         centers, uncovered = covering._greedy_cover(8, 0, target, target, 5)
         assert calls == []

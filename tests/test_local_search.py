@@ -269,6 +269,17 @@ class TestSearchball:
 
 
 class TestDls:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 21).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
+    def test_center_words_match_bit_loop(self, coord_vars, data):
+        tables = local_search._byte_word_tables(tuple(coord_vars))
+        center = data.draw(st.integers(0, (1 << len(coord_vars)) - 1))
+        word, rest = 0, center
+        for table in tables:
+            word |= table[rest & 255]
+            rest >>= 8
+        assert word == sum(((center >> i) & 1) << (v - 1) for i, v in enumerate(coord_vars))
+
     def test_empty_instance_agrees_with_oracle(self):
         for seed in range(40):
             f = gen_random_kcnf(3, 10, 42, seed)
