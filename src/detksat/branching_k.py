@@ -50,7 +50,9 @@ def br_k(
     trace=None,
 ) -> SolveResult:
     """Either solve by branching into the (k-1)-SAT solver, which gets
-    ``phi_cfg`` and ``trace``, or return the instance for local search."""
+    ``phi_cfg`` and ``trace``, or return the instance for local search. A
+    SAT answer, the sub-solve's model with the branch's literals, is checked
+    against ``f``."""
     k = f.width()
     if k < 4:
         raise ValueError("br_k expects width >= 4")
@@ -66,7 +68,9 @@ def br_k(
             stats.branch_nodes += 1
         sub = solve_ksat(restrict(f, alpha), phi_cfg, stats, trace)
         if sub.verdict == "SAT":
-            return SolveResult("SAT", {**sub.assignment, **alpha})
+            model = {**sub.assignment, **alpha}
+            verify_model(f, model)
+            return SolveResult("SAT", model)
     return UNSAT
 
 
@@ -87,7 +91,9 @@ def solve_ksat(
 ) -> SolveResult:
     """Full pipeline: branching either solves the formula or yields an
     instance, which the derandomized local search finishes, so the answer
-    is SAT or UNSAT."""
+    is SAT or UNSAT. Every SAT answer is checked against the formula once,
+    by the solver that built it: ``br_3``, ``br_k`` (its combined model),
+    ``dls``, or here for 2-SAT."""
     stats = stats if stats is not None else SolveStats()
     w = f.width()
     if f.has_bottom:
@@ -95,6 +101,8 @@ def solve_ksat(
     elif w <= 2:
         stats.path = stats.path or "2SAT"
         out = answer(solve_2sat(f))
+        if out.verdict == "SAT":
+            verify_model(f, out.assignment)
     elif w == 3:
         out = br_3(f, phi_cfg, trace=trace, stats=stats.br3)
     else:
@@ -104,6 +112,4 @@ def solve_ksat(
         stats.chain_vector = out.instance.type_counts()
         out = answer(dls(f, out.instance, stats=stats.dls))
     stats.path = stats.path or "BR-solved"
-    if out.verdict == "SAT":
-        verify_model(f, out.assignment)
     return out

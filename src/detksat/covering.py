@@ -467,16 +467,36 @@ def verify_coverage(
     samples: int = 100_000,
 ) -> CoverageReport:
     """Check every (or, above the width limit, sampled) space word is within
-    some entry's radius of one of its centers. Independent of construction."""
+    some entry's radius of one of its centers. Independent of construction.
+
+    Checking every word, a radius whose ball has fewer words than the space
+    marks each center's ball (the ball's offsets XOR the center) in a bitmap
+    over all 2^width words and reads the space's words from it; any other
+    radius takes one pass over the checked words per center.
+    """
     sampled = space.width > EXHAUSTIVE_VERIFY_LIMIT
     if sampled:
         words = _sample_words(space, samples)
     else:
         words = np.fromiter(space.enumerate_words(), dtype=np.int64)
+        popcounts = _popcounts(space.width)
     covered = np.zeros(words.shape, dtype=bool)
     for r in family.radii():
-        for c in family.entries[r]:
-            covered |= np.bitwise_count(words ^ c) <= r
+        centers = family.entries[r]
+        ball = None if sampled else np.flatnonzero(popcounts <= r)
+        # a center wider than the space has no bitmap entry; the pass over
+        # the words still checks it
+        wide = max(centers, default=0) >> space.width
+        if ball is not None and ball.shape[0] < words.shape[0] and not wide:
+            marked = np.zeros(1 << space.width, dtype=bool)
+            rows = max(1, (1 << space.width) // ball.shape[0])  # centers per chunk
+            ints = np.array(centers, dtype=np.int64)
+            for i in range(0, ints.shape[0], rows):
+                marked[ints[i : i + rows, None] ^ ball] = True
+            covered |= marked[words]
+        else:
+            for c in centers:
+                covered |= np.bitwise_count(words ^ c) <= r
         if covered.all():
             break
     ok = bool(covered.all())

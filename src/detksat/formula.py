@@ -96,10 +96,12 @@ class Formula:
         return tuple(tables)
 
     @cached_property
-    def clause_bits(self) -> tuple[tuple[int, ...], ...]:
-        """Per clause, the word bit (1 << v-1) of each literal's variable,
-        in literal order. Built on first use."""
-        return tuple(tuple(1 << (abs(l) - 1) for l in c.lits) for c in self.clauses)
+    def clause_flips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per clause, in literal order, ``(bit, sets)`` for each literal l:
+        the word bit (1 << v-1) of l's variable and ``lit_masks[l]``, the
+        clauses that setting l true satisfies. Built on first use."""
+        masks = self.lit_masks
+        return tuple(tuple((1 << (abs(l) - 1), masks[l]) for l in c.lits) for c in self.clauses)
 
     def __len__(self) -> int:
         return len(self.clauses)

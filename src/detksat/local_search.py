@@ -7,11 +7,18 @@ center; it finds a satisfying assignment within Hamming distance r of the
 start iff one exists. Its state is an assignment word: the unsatisfied
 clauses of a word are one bitset taken from the formula's per-byte tables
 (``Formula.byte_sat_tables``), a flip is an XOR with a precomputed variable
-bit (``Formula.clause_bits``), and a word whose sub-ball was already searched
-and found empty is not expanded again. dls builds the generalized
-covering family for the formula's structured space (free-variable cube times
-chain solution spaces) and runs searchball from every center, ascending by
-radius.
+bit, and a word whose sub-ball was already searched and found empty is not
+expanded again. The last two flips are decided with clause masks
+(``Formula.clause_flips``: per literal, its bit and the clauses it
+satisfies) before any table pass: a last flip is tried only if its literal
+satisfies every unsatisfied clause, and a flip with one more to follow
+only if some unmoved literal of the first clause it leaves unsatisfied
+satisfies all the clauses it leaves. Both cuts skip only subtrees that hold
+no solution and keep the depth-first order of the rest, so the first hit,
+and with it the verdict and the ball count of dls, are the uncut search's.
+dls builds the generalized covering family for
+the formula's structured space (free-variable cube times chain solution
+spaces) and runs searchball from every center, ascending by radius.
 """
 
 from __future__ import annotations
@@ -49,7 +56,25 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
     skipped; following such literals reaches s. Every flip moves one step
     away from the center, so a word w is always reached with budget
     r - |w ^ center|, and a word whose sub-ball was searched and found empty
-    is not expanded again. The set of such words lives for one call.
+    is not expanded again, nor even evaluated (it is known unsatisfied).
+    The set of such words lives for one call.
+
+    Two rules cut the last two levels without a table pass. Every literal
+    of an unsatisfied clause is false and a flip changes only its own
+    variable, so the flip that sets l true can satisfy the formula only if
+    ``unsat & ~sets_l == 0``. With budget 1 a flip is tried (one table
+    pass: it may falsify another clause) only if it passes that test. With
+    budget 2, after the flip of l1 the clauses ``left = unsat & ~sets_l1``
+    are still unsatisfied, and the one flip left must satisfy all of them,
+    so its literal is in the first clause of ``left``; when ``left`` is not
+    empty and no unmoved literal l2 of that clause has
+    ``left & ~sets_l2 == 0``, the child is skipped unvisited. (That clause
+    holds no literal of l1's variable: it is not satisfied by l1, and not l1
+    is true at the parent, where the clause is false; so its unmoved
+    literals are the same at the parent and at the child.) Both rules skip only
+    subtrees that hold no solution and visit the rest in the same depth
+    first order, so the first hit is the one the uncut search finds. A
+    skipped child is not added to the empty set.
     """
     if f.has_bottom:
         raise ValueError("bottom clause present")
@@ -57,26 +82,51 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
         raise ValueError("negative radius")
     full = (1 << len(f.clauses)) - 1
     tables = f.byte_sat_tables
-    flips = f.clause_bits
+    flips = f.clause_flips
     empty: set[int] = set()
 
     def rec(w: int, budget: int) -> Optional[int]:
+        # w has not been expanded; budget is 0 only at a radius-0 center
         sat = 0
         rest = w
         for table in tables:
             sat |= table[rest & 255]
             rest >>= 8
-        unsat = full & ~sat
-        if not unsat:
+        if sat == full:
             return w
-        if budget == 0 or w in empty:
+        if budget == 0:
             return None
+        unsat = full ^ sat
         moved = w ^ center
-        for bit in flips[(unsat & -unsat).bit_length() - 1]:
-            # every literal of an unsatisfied clause is false, so setting
-            # it true flips its bit
-            if not moved & bit:
-                hit = rec(w ^ bit, budget - 1)
+        # every literal of an unsatisfied clause is false, so setting it
+        # true flips its bit
+        branch = flips[(unsat & -unsat).bit_length() - 1]
+        if budget == 1:
+            for bit, sets in branch:
+                if not moved & bit and not unsat & ~sets:
+                    child = w ^ bit
+                    sat = 0
+                    rest = child
+                    for table in tables:
+                        sat |= table[rest & 255]
+                        rest >>= 8
+                    if sat == full:
+                        return child
+            empty.add(w)
+            return None
+        for bit, sets in branch:
+            if moved & bit:
+                continue
+            left = unsat & ~sets
+            if left and budget == 2:
+                for bit2, sets2 in flips[(left & -left).bit_length() - 1]:
+                    if not moved & bit2 and not left & ~sets2:
+                        break
+                else:
+                    continue
+            child = w ^ bit
+            if child not in empty:
+                hit = rec(child, budget - 1)
                 if hit is not None:
                     return hit
         empty.add(w)

@@ -247,3 +247,52 @@ class TestHandoff:
                 branched += st.branch_nodes > 0
                 handed += st.dls.balls_searched > 0
         assert branched == 80 and handed > 0
+
+
+class TestAnswerCheck:
+    # one formula per solver that can give the answer: 2-SAT, the 3-SAT
+    # branching, the width-k branching (its sub-solves are 3-CNFs) and the
+    # local search
+    CASES = {
+        "2SAT": formula(2, [(1, 2), (-1, 2)]),
+        "BR-solved": formula(3, [(1, 2, 3), (-1, -2, 3)]),
+        "br_k": formula(14, [(1, 2, 3, 4)] + [(1, i, i + 1, i + 2) for i in range(5, 12, 3)]),
+        "DLS": formula(4, [(1, 2, 3, 4)]),
+    }
+
+    @staticmethod
+    def _patch(monkeypatch, check):
+        import detksat.branching3 as branching3
+        import detksat.branching_k as branching_k
+        import detksat.local_search as local_search
+
+        for mod in (branching_k, branching3, local_search):
+            monkeypatch.setattr(mod, "verify_model", check)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_path_checks_its_answer(self, monkeypatch, name):
+        # a check that refuses every model of the input formula (sub-solves'
+        # models of restricted formulas pass) stops each path's answer
+        from detksat.formula import VerificationError
+
+        f = self.CASES[name]
+
+        def refuse(g, alpha):
+            if g is f:
+                raise VerificationError("refused")
+
+        self._patch(monkeypatch, refuse)
+        with pytest.raises(VerificationError):
+            solve_ksat(f)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_check_per_answer(self, monkeypatch, name):
+        f = self.CASES[name]
+        checked = []
+        self._patch(monkeypatch, lambda g, alpha: checked.append(g is f))
+        st = SolveStats()
+        res = solve_ksat(f, stats=st)
+        assert res.verdict == "SAT" and satisfies(f, res.assignment)
+        assert checked.count(True) == 1
+        assert (st.branch_nodes > 0) == (name == "br_k")
+        assert (st.path == "DLS") == (name == "DLS")

@@ -542,6 +542,40 @@ class TestVerifier:
         assert not rep.ok
         assert rep.uncovered_example is not None
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    @example(None)
+    def test_matches_per_center_pass(self, data):
+        # random families (often leaving gaps) over cubes and chain-space
+        # products, so that some radii mark balls and the rest pass over words
+        if data is None:
+            # radius 1 marks a 4-word ball; radius 2's center is wider than
+            # the space, so it passes over the words (and covers the same
+            # four); radius 3 (a ball of all 8 words) would pass over them
+            # but has no center; 0b011 is the first word left uncovered
+            space = StructuredSpace((CubeFactor(3),))
+            fam = CodeFamily(3, {1: (0b000,), 2: (0b1000,), 3: ()})
+        else:
+            sp = solution_space(canonical_realization(data.draw(st.sampled_from(["*", "n*", "tp*"]))))
+            factors = [CubeFactor(data.draw(st.integers(0, 6)))]
+            factors.append(PowerFactor((sp,) * data.draw(st.integers(0, 2))))
+            space = StructuredSpace(tuple(f for f in factors if f.width))
+            words = list(space.enumerate_words())
+            radii = data.draw(st.lists(st.integers(0, space.width), min_size=1, max_size=3, unique=True))
+            fam = CodeFamily(space.width, {
+                r: tuple(data.draw(st.lists(st.sampled_from(words), max_size=12))) for r in radii})
+        words = np.fromiter(space.enumerate_words(), dtype=np.int64)
+        covered = np.zeros(words.shape, dtype=bool)
+        for r in fam.radii():
+            for c in fam.entries[r]:
+                covered |= np.bitwise_count(words ^ c) <= r
+        example = None if covered.all() else int(words[np.argmin(covered)])
+        rep = verify_coverage(fam, space)
+        assert (rep.ok, rep.checked, rep.sampled, rep.uncovered_example) == (
+            bool(covered.all()), len(words), False, example)
+        if data is None:
+            assert rep.uncovered_example == 0b011
+
     def test_dump_format(self):
         fam = CodeFamily(3, {1: (0b101,)}, "demo")
         text = fam.dump()

@@ -96,25 +96,93 @@ def _one_chains(f, limit):
     return chains
 
 
-class _CountingTables(tuple):
-    """Per-byte tables that count the nodes a search visits: searchball
-    passes over the tables once per node."""
+def _cut_search(f, center, r):
+    """An independent model of searchball's cut search, on clause literal
+    lists: its hit and the words it evaluates, in order (searchball makes
+    one table pass per word it evaluates).
 
-    visits = 0
+    Depth first over the literals of the first false clause, without flips
+    back. A child is evaluated unless its parent has budget 1 and its
+    literal leaves a false clause false, or its parent has budget 2 and no
+    unmoved literal of the first clause its literal leaves false sets all
+    those clauses true, or the child was already searched and found empty.
+    """
+    clauses = [c.lits for c in f.clauses]
+    evaluated, empty = [], set()
+
+    def is_true(w, l):
+        return (w >> (abs(l) - 1) & 1) == (l > 0)
+
+    def false_clauses(w):
+        evaluated.append(w)
+        return [c for c in clauses if not any(is_true(w, l) for l in c)]
+
+    def unmoved(w, l):
+        return not (w ^ center) >> (abs(l) - 1) & 1
+
+    def rec(w, false, budget):
+        for l in false[0]:
+            if not unmoved(w, l):
+                continue
+            left = [c for c in false if l not in c]
+            if budget == 1 and left:
+                continue
+            if budget == 2 and left and not any(
+                    unmoved(w, l2) and all(l2 in c for c in left) for l2 in left[0]):
+                continue
+            child = w ^ 1 << (abs(l) - 1)
+            if budget > 1 and child in empty:
+                continue
+            child_false = false_clauses(child)
+            if not child_false:
+                return child
+            if budget > 1:
+                hit = rec(child, child_false, budget - 1)
+                if hit is not None:
+                    return hit
+        empty.add(w)
+        return None
+
+    false = false_clauses(center)
+    hit = center if not false else rec(center, false, r) if r else None
+    return hit, evaluated
+
+
+class _ByteReader:
+    def __init__(self, table, words, shift):
+        self.table, self.words, self.shift = table, words, shift
+
+    def __getitem__(self, i):
+        self.words[-1] |= i << self.shift
+        return self.table[i]
+
+
+class _RecordingTables(tuple):
+    """Per-byte tables that record the word of each table pass: searchball
+    reads every table once per word it evaluates."""
 
     def __iter__(self):
-        self.visits += 1
-        return super().__iter__()
+        self.words.append(0)
+        return (_ByteReader(t, self.words, 8 * j) for j, t in enumerate(super().__iter__()))
+
+
+def _recorded_search(f, center, r):
+    """searchball's hit and the words it evaluates, in order."""
+    tables = _RecordingTables(f.byte_sat_tables)
+    tables.words = []
+    g = formula(f.n, [c.lits for c in f.clauses])
+    vars(g)["byte_sat_tables"] = tables
+    return searchball(g, center, r), tables.words
 
 
 @st.composite
-def _cnf(draw, min_width=1, max_n=8):
+def _cnf(draw, min_width=1, max_n=8, max_clauses=16):
     """CNFs of clause widths min_width..5 with duplicate clauses and unused
     variables (n = 0 included)."""
     n = draw(st.integers(0, max_n))
     var_sets = st.lists(st.integers(1, n), min_size=min_width, max_size=min(5, n), unique=True)
     cls = [tuple(v if draw(st.booleans()) else -v for v in vs)
-           for vs in draw(st.lists(var_sets, max_size=16))] if n else []
+           for vs in draw(st.lists(var_sets, max_size=max_clauses))] if n else []
     if min_width == 0 and draw(st.booleans()):
         cls.insert(draw(st.integers(0, len(cls))), ())
     if cls:
@@ -124,9 +192,9 @@ def _cnf(draw, min_width=1, max_n=8):
 
 
 @st.composite
-def _ball(draw):
+def _ball(draw, max_n=8, max_clauses=16):
     """A CNF without bottom, a center word and a radius from 0 to n + 1."""
-    f = draw(_cnf())
+    f = draw(_cnf(max_n=max_n, max_clauses=max_clauses))
     return f, draw(st.integers(0, (1 << f.n) - 1)), draw(st.integers(0, f.n + 1))
 
 
@@ -170,25 +238,29 @@ class TestSearchball:
             assert hamming(got, center) <= r
 
     def test_sub_ball_expanded_once(self):
-        # Every 3-subset of 1..6 as an all-positive clause: a solution sets at
-        # least four of the six, so the radius-3 ball around 0 holds none. A
+        # Every 3-subset of 1..8 as an all-positive clause: a solution sets at
+        # least six of the eight, so the radius-5 ball around 0 holds none. A
         # flip only sets a bit, so each word is reached with one budget, and
-        # each word reached with budget left is expanded once, however many
-        # flip orders reach it (31 nodes; the uncut tree has 1 + 3 + 9 + 27).
-        f = formula(6, list(combinations(range(1, 7), 3)))
-        r = 3
+        # each word is evaluated once, however many flip orders reach it: a
+        # word reached again was searched and found empty. A word with three
+        # bits set (budget 2) has every child cut, since the four clauses
+        # over the other four variables share no variable, so the words
+        # evaluated are the words reached at distance 0..3 (the uncut tree
+        # has 1 + 3 + ... + 3^5 nodes).
+        f = formula(8, list(combinations(range(1, 9), 3)))
+        r = 5
 
         def first_unsat(w):
             return next(c.lits for c in f.clauses if not any(w >> (v - 1) & 1 for v in c.lits))
 
-        expanded, level = set(), {0}
-        for _ in range(r):
-            expanded |= level
+        reached, level = 0, {0}
+        for _ in range(r - 1):
+            reached += len(level)
             level = {w | 1 << (v - 1) for w in level for v in first_unsat(w)}
-        tables = _CountingTables(f.byte_sat_tables)
-        vars(f)["byte_sat_tables"] = tables
-        assert searchball(f, 0, r) is None
-        assert tables.visits == 1 + 3 * len(expanded) == 31
+        hit, words = _recorded_search(f, 0, r)
+        assert hit is None
+        assert words == _cut_search(f, 0, r)[1]
+        assert len(words) == len(set(words)) == reached == 20
 
     def test_word_revisited_below_itself(self):
         # The search that may flip back reaches 00 -(x2)-> 10 -(not x2)-> 00
@@ -203,42 +275,55 @@ class TestSearchball:
     def test_no_word_expanded_twice(self):
         # An unsatisfiable random 3-CNF over 8 variables with mixed signs, so
         # the whole ball is searched and a branched clause can hold a variable
-        # already flipped. Each visit is recorded by the word it looks up (one
-        # table: n <= 8). Every flip moves one step away from the center, so a
-        # word at distance d is reached with budget r - d and expanded (d < r)
-        # exactly once: each visit of w is one allowed flip from a distinct
-        # expanded word.
+        # already flipped. Every flip moves one step away from the center, so
+        # a word at distance d is reached with budget r - d; one below the
+        # last level (d < r) is evaluated once, and a word reached again was
+        # searched and found empty. The words evaluated, in order, are the
+        # cut search model's.
         n, r, center = 8, 4, 0b10100110
         f = gen_random_kcnf(3, n, 50, 0)
         assert brute_force_sat(f) is None
-
-        words = []
-
-        class Recording(tuple):
-            def __getitem__(self, i):
-                words.append(i)
-                return super().__getitem__(i)
-
-        tables = _CountingTables((Recording(f.byte_sat_tables[0]),))
-        vars(f)["byte_sat_tables"] = tables
-        assert searchball(f, center, r) is None
-        assert len(words) == tables.visits
+        hit, words = _recorded_search(f, center, r)
+        assert hit is None
+        assert words == _cut_search(f, center, r)[1]
         visits = Counter(words)
         assert all(hamming(w, center) <= r for w in visits)
+        assert all(c == 1 for w, c in visits.items() if hamming(w, center) < r)
+        assert len(words) == 22
+        assert len(words) <= sum(comb(n, i) for i in range(r + 1))
 
-        def first_unsat(w):
-            alpha = as_alpha(w, n)
-            return next(c.lits for c in f.clauses
-                        if not any((alpha[abs(l)] == 1) == (l > 0) for l in c.lits))
+    def test_last_flip_may_falsify_another_clause(self):
+        # At 000 only (1, 2) is false. Setting x1 satisfies it, so the flip
+        # passes the mask test, but it falsifies (-1, 3): the pass after it
+        # rejects 001, and x2 gives the hit.
+        f = formula(3, [(1, 2), (-1, 3)])
+        assert _recorded_search(f, 0b000, 1) == (0b010, [0b000, 0b001, 0b010])
+        assert as_word(_ref_searchball(f, as_alpha(0, 3), 1), 3) == 0b010
 
-        want = Counter([center])
-        for w in visits:
-            if hamming(w, center) < r:
-                for l in first_unsat(w):
-                    if not (w ^ center) >> (abs(l) - 1) & 1:
-                        want[w ^ 1 << (abs(l) - 1)] += 1
-        assert visits == want
-        assert tables.visits <= sum(comb(n, i) for i in range(r + 1))
+    def test_two_flip_cut_reads_the_clauses_left(self):
+        # At 00000, (1, 2) and (4, 5) are false. After x1, (4, 5) is left;
+        # x4 would satisfy it, so the child 00001 is evaluated. There
+        # (-1, 4), newly falsified, is the first false clause, ahead of
+        # (4, 5); x1 is moved, and x4 satisfies both.
+        f = formula(5, [(-1, 4), (1, 2), (4, 5)])
+        assert _recorded_search(f, 0, 2) == (0b01001, [0, 0b00001, 0b01001])
+        assert as_word(_ref_searchball(f, as_alpha(0, 5), 2), 5) == 0b01001
+        # After x1 (or x2), (3, 5) and (4, 6) are left, and no literal of
+        # (3, 5) satisfies both: neither child is evaluated, although the
+        # child 00001 would branch (-1, 4) first.
+        f = formula(6, [(-1, 4), (1, 2), (3, 5), (4, 6)])
+        assert _recorded_search(f, 0, 2) == (None, [0])
+        assert _ref_searchball(f, as_alpha(0, 6), 2) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ball(max_n=12, max_clauses=40))
+    def test_table_passes_match_cut_model(self, ball):
+        # clause widths 1..5, radii 0..n + 1, up to 40 clauses and two byte
+        # tables: the hit and the words evaluated are the cut model's (the
+        # uncut reference, which has no empty set, is too slow at n = 12;
+        # test_matches_dict_reference ties the hit to it for n <= 8)
+        f, center, r = ball
+        assert _recorded_search(f, center, r) == _cut_search(f, center, r)
 
     def test_complete_within_ball(self):
         # against direct enumeration of the ball
