@@ -195,12 +195,15 @@ def _cmd_cover(args) -> int:
             sp = solution_space(chain)
             fam = ell_cover_spaces((sp,) * nu, k, group_lambda(args.zeta, chain, k))
             space = StructuredSpace((PowerFactor((sp,) * nu),))
+        # a product builds its levels when they are read, and its code size
+        # guard refuses while it builds them
+        radii = fam.radii()
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     rep = verify_coverage(fam, space)
     print("# %s" % fam.description)
-    for r in fam.radii():
+    for r in radii:
         print("radius %d: %d centers" % (r, len(fam.entries[r])))
     print(
         "coverage: %s (%d words%s)"

@@ -23,12 +23,22 @@ one chain space of at most 24 bits (2^48), below 2^53. The correlation's
 result is rounded to int64 counts, which the updates keep exact, so a level
 picks the same centers as a recount at every pick would.
 
+A family is built level by level, ascending by radius:
+``CodeFamily.levels()`` builds a level only when the iteration reaches it,
+so the local search builds no level beyond the radius of its first hit,
+and ``entries``, ``radii()``, ``size()`` and ``dump()`` build every level.
+An ell-family builds greedy level r from the words its levels below r left
+uncovered, which it keeps between calls. A product builds its level R from
+the factor levels whose radii can sum to R, each factor level the first
+time a choice needs it.
+
 A code is a pure function of its shape, so ``cover_cube`` (keyed by width and
 radius) and ``ell_cover_spaces`` (keyed by the spaces' widths and words, k and
 lambda; variable names are left out) keep every code they build for the life
-of the process, and a batch of solves builds each code once. The memo is
-filled only by calls, never at import. Families are frozen, so a memoized
-family is the same for every caller.
+of the process. The memo holds the levels built so far: a memoized family
+grows as its levels are built, and a batch of solves builds each level once.
+The memo is filled only by calls, never at import. Families cannot be
+changed from outside, so a memoized family is the same for every caller.
 """
 
 from __future__ import annotations
@@ -36,11 +46,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +60,9 @@ log = logging.getLogger(__name__)
 
 BLOCK_WIDTH = 20
 # above every code the benchmark builds and the 144,388 centers of the DLS code
-# of a random 4-CNF at n = 28, whose ball search took 0.8 ms per center; at
-# that rate a code of this size is about an hour of ball search
+# of a random 4-CNF at n = 28 (seed 0), whose solve takes about 0.11 ms per
+# center (15.6 s on a 2-core x86-64 machine); at that rate a code of this size
+# is about 8 minutes of ball search
 CODE_SIZE_LIMIT = 1 << 22
 EXHAUSTIVE_VERIFY_LIMIT = 20
 VERIFY_SEED = 12345
@@ -138,30 +149,96 @@ class StructuredSpace:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CodeFamily:
-    """Radius-indexed sets of centers jointly covering a space.
+Level = tuple[int, tuple[int, ...]]
 
-    Immutable: ``entries`` is a read-only copy of the mapping given.
+
+class CodeFamily:
+    """Radius-indexed sets of centers jointly covering a space, built level
+    by level.
+
+    A family is its levels built so far, ascending by radius, and a step
+    that returns the next level, or None once every level is built. A
+    family given its ``entries`` is built from the start. A step that
+    raises leaves its state unchanged, so the next request repeats it.
+    Nothing can be set from outside, and ``entries`` is a read-only view.
     """
 
-    width: int
-    entries: Mapping[int, tuple[int, ...]]
-    description: str = ""
+    __slots__ = ("width", "description", "_built", "_step")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __init__(
+        self,
+        width: int,
+        entries: Optional[Mapping[int, Sequence[int]]] = None,
+        description: str = "",
+        step: Optional[Callable[[], Optional[Level]]] = None,
+    ) -> None:
+        built = sorted((r, tuple(cs)) for r, cs in (entries or {}).items())
+        for name, value in (("width", width), ("description", description), ("_built", built), ("_step", step)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CodeFamily):
+            return NotImplemented
+        return (self.width, self.description, self.entries) == (other.width, other.description, other.entries)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "CodeFamily(%d, %r, %r)" % (self.width, dict(self._built), self.description)
+
+    def _grow(self) -> bool:
+        """Build the next level; False once every level is built."""
+        if self._step is None:
+            return False
+        level = self._step()
+        if level is None:
+            object.__setattr__(self, "_step", None)
+            return False
+        self._built.append(level)
+        return True
+
+    def levels(self, top: Optional[int] = None) -> Iterator[Level]:
+        """(radius, centers) of every level of radius at most ``top`` (all
+        when None), ascending; a level is built when the iteration reaches
+        it. A family whose radii have gaps may build one level past ``top``
+        to find that it is past."""
+        i = 0
+        while True:
+            if i == len(self._built):
+                # every level built so far has been yielded
+                if top is not None and self._built and self._built[-1][0] >= top or not self._grow():
+                    return
+            level = self._built[i]
+            if top is not None and level[0] > top:
+                return
+            yield level
+            i += 1
+
+    def built_size(self) -> int:
+        """Centers of the levels built so far."""
+        return sum(len(cs) for _, cs in self._built)
+
+    def complete(self) -> bool:
+        """Whether every level is built."""
+        return self._step is None
+
+    @property
+    def entries(self) -> Mapping[int, tuple[int, ...]]:
+        return MappingProxyType(dict(self.levels()))
 
     def radii(self) -> list[int]:
-        return sorted(self.entries)
+        return [r for r, _ in self.levels()]
 
     def size(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+        return sum(len(cs) for _, cs in self.levels())
 
     def dump(self) -> str:
         lines = ["# %s" % (self.description or "covering code, width %d" % self.width)]
-        for r in self.radii():
-            for c in self.entries[r]:
+        for r, centers in self.levels():
+            for c in centers:
                 bits = "".join(str((c >> i) & 1) for i in range(self.width))
                 lines.append("r %d %s" % (r, bits))
         return "\n".join(lines) + "\n"
@@ -290,8 +367,10 @@ def cover_cube(width: int, radius: int) -> CodeFamily:
         return CodeFamily(width, {radius: (0,)}, "cube width %d, degenerate" % width)
     if width > BLOCK_WIDTH:
         blocks = _cube_blocks(width, radius)
-        code = product_code([cover_cube(w, r) for w, r in blocks])
-        return replace(code, description="cube width %d (blocks %s)" % (width, [w for w, _ in blocks]))
+        return product_code(
+            [cover_cube(w, r) for w, r in blocks],
+            "cube width %d (blocks %s)" % (width, [w for w, _ in blocks]),
+        )
     n = 1 << width
     all_true = np.ones(n, dtype=bool)
     centers, uncovered = _greedy_cover(width, radius, all_true, all_true)
@@ -308,6 +387,16 @@ def _balanced(count: int, cap: int) -> list[int]:
     return [base + 1] * rem + [base] * (nb - rem)
 
 
+def _ball_size(width: int, radius: int) -> int:
+    """V(width, radius): the words of {0,1}^width within the radius of one."""
+    return sum(math.comb(width, i) for i in range(radius + 1))
+
+
+def _size_guard(least: int) -> None:
+    if least > CODE_SIZE_LIMIT:
+        raise CoverError("code size guard: at least %d centers > %d" % (least, CODE_SIZE_LIMIT))
+
+
 def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
     """Balanced blocks of a cube wider than BLOCK_WIDTH with their radii;
     refused if their product code must exceed CODE_SIZE_LIMIT centers."""
@@ -319,16 +408,20 @@ def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
     order = sorted(range(len(widths)), key=lambda i: (-(quotas[i] - int(quotas[i])), i))
     for i in order[:short]:
         radii[i] += 1
-    # a radius-r code of {0,1}^w has at least 2^w / V(w, r) centers (the
-    # sphere-covering bound), so the product of these bounds is a lower bound
-    # on the product code's size: an oversized code is refused before any
-    # block is built
-    least = math.prod(
-        -(-(1 << w) // sum(math.comb(w, i) for i in range(r + 1))) for w, r in zip(widths, radii)
-    )
-    if least > CODE_SIZE_LIMIT:
-        raise CoverError("code size guard: at least %d centers > %d" % (least, CODE_SIZE_LIMIT))
-    return list(zip(widths, radii))
+    blocks = list(zip(widths, radii))
+    # an oversized code is refused before any block is built
+    _size_guard(math.prod(_cube_least(w, r) for w, r in blocks))
+    return blocks
+
+
+def _cube_least(width: int, radius: int) -> int:
+    """A lower bound on the size of ``cover_cube(width, radius)``: a
+    radius-r code of {0,1}^w has at least 2^w / V(w, r) centers (the
+    sphere-covering bound), and a blocked cube's code is the product of its
+    blocks' single-radius codes, so its size is the product of theirs."""
+    if width > BLOCK_WIDTH and radius < width:
+        return math.prod(_cube_least(w, r) for w, r in _cube_blocks(width, radius))
+    return -(-(1 << width) // _ball_size(width, radius))
 
 
 def cube_radius(width: int, k: int) -> int:
@@ -340,26 +433,58 @@ def cube_radius(width: int, k: int) -> int:
     return radius
 
 
-def product_code(families: Sequence[CodeFamily]) -> CodeFamily:
-    """Radius-summing product of families.
+def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeFamily:
+    """Radius-summing product of families, built level by level.
 
     Every choice of one radius per family (skipping a choice with an empty
     entry) packs its centers, and files them under the sum of the radii;
-    each radius keeps a center once, in first-seen order. Single-radius
-    codes give one radius, with sizes multiplying. A product of more than
-    CODE_SIZE_LIMIT centers (the product of the family sizes) is refused up front.
+    each radius keeps a center once, in first-seen order, and the choices
+    are taken in ``itertools.product`` order over the families' radii.
+    Single-radius codes give one radius, with sizes multiplying. Level R
+    takes from each family only radii up to R minus the other families'
+    least radii, so a family's level is built the first time a choice of
+    some level needs it.
+
+    The product of the family sizes bounds the product's size. The code
+    size guard refuses the product as soon as the sizes of the levels built
+    so far multiply to more than CODE_SIZE_LIMIT: when it is formed, and
+    again before each level is packed.
     """
     if not families:
         raise CoverError("empty product")
-    if (size := math.prod(fam.size() for fam in families)) > CODE_SIZE_LIMIT:
-        raise CoverError("code size guard: %d centers > %d" % (size, CODE_SIZE_LIMIT))
-    entries: dict[int, dict[int, None]] = {}
-    for combo in iproduct(*(fam.radii() for fam in families)):
-        parts = [(fam.width, fam.entries[r]) for fam, r in zip(families, combo)]
-        if all(words for _, words in parts):
-            entries.setdefault(sum(combo), {}).update(dict.fromkeys(pack_words(parts)))
-    codes = {r: tuple(cs) for r, cs in entries.items()}
-    return CodeFamily(sum(fam.width for fam in families), codes, "product of %d codes" % len(families))
+    families = tuple(families)
+
+    def guard() -> None:
+        count = math.prod(fam.built_size() for fam in families)
+        if count > CODE_SIZE_LIMIT:
+            raise CoverError("code size guard: %d centers > %d" % (count, CODE_SIZE_LIMIT))
+
+    guard()
+    done = -1  # the last radius built; none yet
+
+    def step() -> Optional[Level]:
+        nonlocal done
+        firsts = [next(fam.levels(), None) for fam in families]
+        if None in firsts:
+            return None  # a family without levels: no choice at all
+        lows = [r for r, _ in firsts]
+        radius = max(done + 1, sum(lows))
+        while True:
+            choices = [list(fam.levels(radius - sum(lows) + low)) for fam, low in zip(families, lows)]
+            guard()
+            words: dict[int, None] = {}
+            for combo in iproduct(*choices):
+                if sum(r for r, _ in combo) == radius and all(cs for _, cs in combo):
+                    words.update(dict.fromkeys(pack_words([(fam.width, cs) for fam, (_, cs) in zip(families, combo)])))
+            if words:
+                done = radius
+                return radius, tuple(words)
+            if all(fam.complete() for fam in families) and radius >= sum(fam.radii()[-1] for fam in families):
+                return None
+            radius += 1
+
+    width = sum(fam.width for fam in families)
+    return CodeFamily(width, description=description or "product of %d codes" % len(families), step=step)
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
@@ -374,10 +499,11 @@ def ell_cover_spaces(
 
     Deterministic greedy residual covering: radii ascend from 0 to ell, each
     radius takes greedily chosen centers up to the size budget implied by
-    lambda^-nu / (k-1)^r, and the final radius finishes the residual. The
-    budgets are logged, never asserted. A power wider than BLOCK_WIDTH is the
-    product of the families of balanced runs of whole spaces of at most
-    BLOCK_WIDTH bits each.
+    lambda^-nu / (k-1)^r, and the final radius finishes the residual. Each
+    level is built when it is first asked for, from the words the levels
+    below it left uncovered. The budgets are logged, never asserted. A
+    power wider than BLOCK_WIDTH is the product of the families of balanced
+    runs of whole spaces of at most BLOCK_WIDTH bits each.
 
     Memoized per process by the spaces' (width, words), k and lambda: the
     family does not depend on the variable names (``var_order``).
@@ -385,60 +511,120 @@ def ell_cover_spaces(
     return _ell_cover_shapes(tuple((s.width, s.words) for s in spaces), k, lam)
 
 
-# typed: a float lambda equal to a Fraction gives float size budgets, which
-# may round differently, so the two must not share a family
-@functools.lru_cache(maxsize=None, typed=True)
-def _ell_cover_shapes(
-    shapes: tuple[tuple[int, tuple[int, ...]], ...], k: int, lam: Fraction
-) -> CodeFamily:
-    """``ell_cover_spaces`` over (width, words) per space; memoized, and
-    ``_ell_cover_shapes.__wrapped__`` builds without the memo."""
-    nu = len(shapes)
+Shapes = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _ell_runs(shapes: Shapes) -> Optional[list[Shapes]]:
+    """The balanced runs of whole spaces a power wider than BLOCK_WIDTH is
+    split into, or None for a power kept whole."""
+    if sum(w for w, _ in shapes) <= BLOCK_WIDTH or len(shapes) == 1:
+        return None
+    runs = _balanced(len(shapes), max(1, BLOCK_WIDTH // max(w for w, _ in shapes)))
+    ends = list(accumulate(runs, initial=0))
+    return [shapes[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _ell_budgets(nu: int, k: int, lam: Fraction) -> list[int]:
+    """The size budgets of levels 0 .. ell-1; level ell has none."""
     if nu == 0:
         raise CoverError("no spaces")
     if k < 3:
         raise CoverError("k must be >= 3")
+    size_target = Fraction(1, 1) / lam**nu
+    return [max(1, math.ceil(size_target / (k - 1) ** r)) for r in range(ell_for(nu, k, lam))]
+
+
+# typed: a float lambda equal to a Fraction gives float size budgets, which
+# may round differently, so the two must not share a family
+@functools.lru_cache(maxsize=None, typed=True)
+def _ell_cover_shapes(shapes: Shapes, k: int, lam: Fraction) -> CodeFamily:
+    """``ell_cover_spaces`` over (width, words) per space; memoized, and
+    ``_ell_cover_shapes.__wrapped__`` builds without the memo."""
+    budgets = _ell_budgets(len(shapes), k, lam)
+    runs = _ell_runs(shapes)
+    if runs is not None:
+        return product_code(
+            [_ell_cover_shapes(run, k, lam) for run in runs],
+            "ell-family nu=%d (runs %s)" % (len(shapes), [len(run) for run in runs]),
+        )
     width = sum(w for w, _ in shapes)
-    if width > BLOCK_WIDTH and nu > 1:
-        runs = _balanced(nu, max(1, BLOCK_WIDTH // max(w for w, _ in shapes)))
-        ends = list(accumulate(runs, initial=0))
-        parts = [_ell_cover_shapes(shapes[a:b], k, lam) for a, b in zip(ends, ends[1:])]
-        return replace(product_code(parts), description="ell-family nu=%d (runs %s)" % (nu, runs))
-    ell = ell_for(nu, k, lam)
     member = np.zeros(1 << width, dtype=bool)
     member[np.fromiter(pack_words(shapes), dtype=np.int64)] = True
-    uncovered = member.copy()
-    entries: dict[int, tuple[int, ...]] = {}
-    size_target = Fraction(1, 1) / lam**nu
-    for r in range(ell + 1):
-        budget = None if r == ell else max(1, math.ceil(size_target / (k - 1) ** r))
-        centers, uncovered = _greedy_cover(width, r, uncovered, member, budget)
-        entries[r] = tuple(centers)
-        log.debug(
-            "ell_cover r=%d: %d centers (budget %s), %d words left",
-            r,
-            len(centers),
-            budget,
-            int(uncovered.sum()),
-        )
-        if not uncovered.any():
-            break
-    if uncovered.any():
-        raise CoverError("ell-family failed to cover the space")
-    return CodeFamily(width, entries, "ell-family nu=%d ell=%d" % (nu, ell))
+    r, uncovered = 0, member
+
+    def step() -> Optional[Level]:
+        nonlocal r, uncovered
+        if r and not uncovered.any():
+            return None
+        if r > len(budgets):
+            raise CoverError("ell-family failed to cover the space")
+        budget = budgets[r] if r < len(budgets) else None
+        centers, left = _greedy_cover(width, r, uncovered, member, budget)
+        log.debug("ell_cover r=%d: %d centers (budget %s), %d words left", r, len(centers), budget, int(left.sum()))
+        r, uncovered = r + 1, left
+        return r - 1, tuple(centers)
+
+    return CodeFamily(width, description="ell-family nu=%d ell=%d" % (len(shapes), len(budgets)), step=step)
+
+
+def _ell_least(shapes: Shapes, k: int, lam: Fraction) -> int:
+    """A lower bound on the size of ``_ell_cover_shapes(shapes, k, lam)``,
+    computed without building it.
+
+    Level r < ell takes centers up to its budget b_r while words stay
+    uncovered (an uncovered word is a candidate, so the greedy never stops
+    early), and a center covers at most V(w, r) words. The levels below r
+    then cover at most sum_{i<r} b_i V(w, i) of the |M| members, so with
+    U_r = |M| - sum_{i<r} b_i V(w, i), floored at 0, level r has at least
+    min(b_r, ceil(U_r / V(w, r))) centers and level ell at least
+    ceil(U_ell / V(w, ell)).
+
+    A split power is the product of its runs' families. The product's
+    guard multiplies their sizes, so the power is refused here when their
+    bounds do. A center may recur at another level, and the product keeps
+    such a word once, so its own size needs another bound. The centers of
+    one level are distinct (a picked center's ball is covered), so run i
+    has at least d_i distinct centers, d_i its largest level bound. For any
+    run j, each (radius, center) entry of run j joined with one entry of
+    each distinct center of every other run is filed under its own
+    (radius, word): the product holds at least size_j * prod_{i != j} d_i
+    centers.
+    """
+    runs = _ell_runs(shapes)
+    if runs is not None:
+        levels = [_ell_level_least(run, k, lam) for run in runs]
+        sizes = [sum(ls) for ls in levels]
+        _size_guard(math.prod(sizes))
+        distinct = [max(ls) for ls in levels]
+        p = math.prod(distinct)
+        return max(s * (p // d) for s, d in zip(sizes, distinct))
+    return sum(_ell_level_least(shapes, k, lam))
+
+
+def _ell_level_least(shapes: Shapes, k: int, lam: Fraction) -> list[int]:
+    """Per level, the lower bound of ``_ell_least`` on a power kept whole."""
+    budgets = _ell_budgets(len(shapes), k, lam)
+    width = sum(w for w, _ in shapes)
+    left = math.prod(len(words) for _, words in shapes)
+    out = []
+    for r, b in enumerate(budgets + [None]):
+        ball = _ball_size(width, r)
+        least = -(-left // ball)
+        out.append(least if b is None else min(b, least))
+        if b is not None:
+            left = max(0, left - b * ball)
+    return out
 
 
 def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: int) -> CodeFamily:
     """Family for a cube-times-chains space: cube covered at ceil(n'/k),
     each chain-group by its ell-family, combined by the radius-summing
-    ``product_code``."""
-    cube_widths = [f.width for f in space.factors if isinstance(f, CubeFactor)]
-    if len(cube_widths) > 1:
+    ``product_code``. The ell-families' levels are built when the product's
+    levels need them."""
+    if sum(isinstance(f, CubeFactor) for f in space.factors) > 1:
         raise CoverError("at most one cube factor")
-    powers = [f for f in space.factors if isinstance(f, PowerFactor)]
-    if len(powers) != len(lams):
+    if sum(isinstance(f, PowerFactor) for f in space.factors) != len(lams):
         raise CoverError("need one characteristic value per chain factor")
-
     lam_iter = iter(lams)
     families: list[CodeFamily] = []
     for f in space.factors:
@@ -446,7 +632,23 @@ def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: 
             families.append(ell_cover_spaces(f.spaces, k, next(lam_iter)))
         elif f.width:
             families.append(cover_cube(f.width, cube_radius(f.width, k)))
-    return replace(product_code(families), description="generalized family over width %d" % space.width)
+    return product_code(families, "generalized family over width %d" % space.width)
+
+
+def generalized_size_guard(space: StructuredSpace, lams: Sequence[Fraction], k: int) -> None:
+    """Raise the code size guard, before any code is built, when the
+    product ``build_generalized_code`` forms must refuse: the cube's
+    sphere-covering bound times each chain group's ell-family bound
+    (``_ell_least``) is a lower bound on the product of the factor sizes
+    that its guard multiplies."""
+    lam_iter = iter(lams)
+    least = 1
+    for f in space.factors:
+        if isinstance(f, PowerFactor):
+            least *= _ell_least(tuple((s.width, s.words) for s in f.spaces), k, next(lam_iter))
+        elif f.width:
+            least *= _cube_least(f.width, cube_radius(f.width, k))
+    _size_guard(least)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +683,7 @@ def verify_coverage(
         words = np.fromiter(space.enumerate_words(), dtype=np.int64)
         popcounts = _popcounts(space.width)
     covered = np.zeros(words.shape, dtype=bool)
-    for r in family.radii():
-        centers = family.entries[r]
+    for r, centers in family.levels():
         ball = None if sampled else np.flatnonzero(popcounts <= r)
         # a center wider than the space has no bitmap entry; the pass over
         # the words still checks it

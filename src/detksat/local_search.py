@@ -16,9 +16,11 @@ only if some unmoved literal of the first clause it leaves unsatisfied
 satisfies all the clauses it leaves. Both cuts skip only subtrees that hold
 no solution and keep the depth-first order of the rest, so the first hit,
 and with it the verdict and the ball count of dls, are the uncut search's.
-dls builds the generalized covering family for
+dls forms the generalized covering family for
 the formula's structured space (free-variable cube times chain solution
-spaces) and runs searchball from every center, ascending by radius.
+spaces) and runs searchball from every center, ascending by radius; it
+builds each level of the family only when the search reaches its radius,
+so a SAT formula builds no level past the radius of its first hit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .covering import (
     StructuredSpace,
     build_generalized_code,
     cube_radius,
+    generalized_size_guard,
 )
 from .formula import Formula, satisfies, verify_model
 
@@ -137,6 +140,10 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
 
 @dataclass
 class DlsStats:
+    """Balls searched, and the number of centers of each radius of the code
+    that the last ``dls`` call reached, ascending: every radius when the
+    answer is UNSAT, and up to the radius of the hit when it is SAT."""
+
     balls_searched: int = 0
     code_sizes: dict[int, int] = field(default_factory=dict)
 
@@ -163,7 +170,9 @@ def structured_space_for(
 ) -> tuple[StructuredSpace, list[Fraction]]:
     """Free-variable cube times one power factor per chain-isomorphism group,
     and the group's characteristic value at width k, in group order. A cube
-    whose code would pass the code size guard is refused first."""
+    whose code would pass the code size guard is refused first, before any
+    lambda is solved; a generalized family whose factors' lower bounds pass
+    it is refused next, before any code is built."""
     used = inst.variables()
     free = tuple(v for v in range(1, f.n + 1) if v not in used)
     cube_radius(len(free), k)  # an oversized cube is refused before any lambda
@@ -172,7 +181,9 @@ def structured_space_for(
     for key, group in group_by_type(inst.chains).items():
         factors.append(PowerFactor(tuple(solution_space(ch) for ch in group)))
         lams.append(group_lambda(key, group[0], k))
-    return StructuredSpace(tuple(factors)), lams
+    space = StructuredSpace(tuple(factors))
+    generalized_size_guard(space, lams, k)
+    return space, lams
 
 
 def _validate_instance_clauses(f: Formula, inst: Instance) -> None:
@@ -222,10 +233,12 @@ def dls(
         return alpha if satisfies(f, alpha) else None
     family = build_generalized_code(space, lams, k)
     if stats is not None:
-        stats.code_sizes = {r: len(cs) for r, cs in family.entries.items()}
+        stats.code_sizes = {}
     word_tables = _byte_word_tables(space.coordinate_variables())
-    for r in family.radii():
-        for center in family.entries[r]:
+    for r, centers in family.levels():
+        if stats is not None:
+            stats.code_sizes[r] = len(centers)
+        for center in centers:
             word, rest = 0, center
             for table in word_tables:
                 word |= table[rest & 255]

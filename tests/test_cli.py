@@ -10,7 +10,8 @@ import pytest
 from detksat import characteristic, covering
 from detksat.cli import main
 from detksat.covering import ell_cover_spaces
-from detksat.formula import parse_dimacs
+from detksat.formula import parse_dimacs, serialize_dimacs
+from detksat.generator import gen_random_kcnf
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,6 +129,22 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: code size guard: at least")
+
+    def test_oversized_ell_family_refused_before_any_greedy(self, tmp_path, capsys, monkeypatch):
+        # gen_random_kcnf(4, 40, 200, 0), default mode: a 4-bit cube times
+        # nine 4-clause 1-chains, a 36-bit power split into runs of five and
+        # four spaces; the runs' ell-family bounds 4,683 * 936 already
+        # exceed the size limit (their built families: 4,432,080 centers)
+        def no_greedy(*args):
+            raise AssertionError("a greedy cover ran")
+
+        monkeypatch.setattr(covering, "_greedy_cover", no_greedy)
+        p = tmp_path / "k4.cnf"
+        p.write_text(serialize_dimacs(gen_random_kcnf(4, 40, 200, 0)))
+        assert main(["solve", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: code size guard: at least 4383288 centers > 4194304\n"
 
     def test_oversized_cube_refused_before_any_lambda(self, tmp_path, capsys, monkeypatch):
         # default mode: the 12-literal clause is one chain, whose exact
@@ -360,6 +377,15 @@ class TestCover:
         out = capsys.readouterr().out
         assert out.startswith("# ell-family nu=8 (runs [4, 4])")
         assert "coverage: verified" in out
+
+    def test_zeta_power_over_the_size_limit_exit_1(self, capsys):
+        # 40 copies of the 3-bit space, seven runs of at most six: level 0
+        # of the runs' families already multiplies past the limit, which
+        # refuses the 120-bit code before any coverage check
+        assert main(["cover", "--zeta", "*", "--nu", "40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: code size guard: ")
 
     def test_rho_rejected(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/2"]) == 1

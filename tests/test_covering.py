@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from itertools import accumulate, product as iproduct
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from detksat.covering import (
     cover_cube,
     ell_cover_spaces,
     ell_for,
+    generalized_size_guard,
     pack_words,
     product_code,
     verify_coverage,
@@ -110,6 +113,98 @@ def count_transforms(monkeypatch):
 
     monkeypatch.setattr(covering, "_wht", counting_wht)
     return calls
+
+
+def eager_product(families):
+    """The radius-summing product built in one pass over every choice of
+    radii: the reference for ``product_code``'s level-by-level build. Entries
+    as a dict of radius -> centers."""
+    entries = {}
+    for combo in iproduct(*(fam.radii() for fam in families)):
+        parts = [(fam.width, fam.entries[r]) for fam, r in zip(families, combo)]
+        if all(words for _, words in parts):
+            entries.setdefault(sum(combo), {}).update(dict.fromkeys(pack_words(parts)))
+    return {r: tuple(cs) for r, cs in entries.items()}
+
+
+def eager_cube(width, radius):
+    """``cover_cube`` with a wide cube's block product built eagerly."""
+    if width > covering.BLOCK_WIDTH and radius < width:
+        blocks = covering._cube_blocks(width, radius)
+        return eager_product([CodeFamily(w, eager_cube(w, r)) for w, r in blocks])
+    return dict(cover_cube.__wrapped__(width, radius).entries)
+
+
+def eager_ell(shapes, k, lam):
+    """Every level of an ell-family built at once, and a wide power's runs
+    joined by ``eager_product``: the reference for the family built when
+    its levels are asked for."""
+    nu, width = len(shapes), sum(w for w, _ in shapes)
+    if width > covering.BLOCK_WIDTH and nu > 1:
+        runs = covering._balanced(nu, max(1, covering.BLOCK_WIDTH // max(w for w, _ in shapes)))
+        ends = list(accumulate(runs, initial=0))
+        runs = [shapes[a:b] for a, b in zip(ends, ends[1:])]
+        return eager_product([CodeFamily(sum(w for w, _ in run), eager_ell(run, k, lam)) for run in runs])
+    ell = ell_for(nu, k, lam)
+    member = np.zeros(1 << width, dtype=bool)
+    member[list(pack_words(shapes))] = True
+    uncovered = member.copy()
+    entries = {}
+    for r in range(ell + 1):
+        budget = None if r == ell else max(1, math.ceil(Fraction(1, 1) / lam**nu / (k - 1) ** r))
+        centers, uncovered = covering._greedy_cover(width, r, uncovered, member, budget)
+        entries[r] = tuple(centers)
+        if not uncovered.any():
+            break
+    assert not uncovered.any()
+    return entries
+
+
+def eager_generalized(space, lams, k):
+    lam_iter = iter(lams)
+    fams = []
+    for f in space.factors:
+        if isinstance(f, PowerFactor):
+            fams.append(CodeFamily(f.width, eager_ell(tuple((s.width, s.words) for s in f.spaces), k, next(lam_iter))))
+        elif f.width:
+            fams.append(CodeFamily(f.width, eager_cube(f.width, covering.cube_radius(f.width, k))))
+    return eager_product(fams)
+
+
+def in_order(entries):
+    """A family's levels as ``CodeFamily.levels()`` lists them."""
+    return sorted(entries.items())
+
+
+@contextlib.contextmanager
+def block_width_set(width):
+    """``covering.BLOCK_WIDTH`` set for a block of code, with the memos
+    emptied before and after: usable inside a hypothesis test."""
+    saved = covering.BLOCK_WIDTH
+    cover_cube.cache_clear()
+    covering._ell_cover_shapes.cache_clear()
+    covering.BLOCK_WIDTH = width
+    try:
+        yield
+    finally:
+        covering.BLOCK_WIDTH = saved
+        cover_cube.cache_clear()
+        covering._ell_cover_shapes.cache_clear()
+
+
+@st.composite
+def _power_shapes(draw, max_width=5):
+    """(width, words) of nu copies of one space, at most 12 bits in all: a
+    whole cube, or a random set of words."""
+    width = draw(st.integers(1, max_width))
+    if draw(st.booleans()):
+        words = tuple(range(1 << width))
+    else:
+        words = tuple(sorted(draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1))))
+    return ((width, words),) * draw(st.integers(1, min(4, 12 // width)))
+
+
+_lams = st.builds(Fraction, st.integers(1, 9), st.just(10))
 
 
 class TestWalshHadamard:
@@ -265,6 +360,12 @@ def covered_at(fam, r):
     ]
 
 
+def lazily(fam):
+    """The same family, its levels built one at a time when asked for."""
+    levels = iter(list(fam.levels()))
+    return CodeFamily(fam.width, description=fam.description, step=lambda: next(levels, None))
+
+
 class TestProductCode:
     @settings(max_examples=150, deadline=None)
     @given(a=_families(), b=_families())
@@ -283,6 +384,16 @@ class TestProductCode:
                 for y in covered_at(b, rb):
                     word = x | (y << a.width)
                     assert any(hamming(word, c) <= ra + rb for c in prod.entries[ra + rb])
+
+    @settings(max_examples=150, deadline=None)
+    @given(fams=st.lists(_families(), min_size=1, max_size=3), lazy=st.booleans())
+    @example(fams=[CodeFamily(1, {0: (0, 1), 1: (0,)}), CodeFamily(1, {0: (1,), 1: (1, 0)})], lazy=True)
+    def test_matches_eager_product(self, fams, lazy):
+        # the same centers in the same order; a level-by-level factor gives
+        # the same product as a built one
+        if lazy:
+            fams = [lazily(fam) for fam in fams]
+        assert list(product_code(fams).levels()) == in_order(eager_product(fams))
 
     def test_example(self):
         c1 = CodeFamily(1, {1: (0,)})
@@ -380,6 +491,51 @@ class TestSizeGuard:
         assert product_code([a, b]).size() == 12
 
 
+    def test_levels_built_past_the_limit_refused_then(self, monkeypatch):
+        monkeypatch.setattr(covering, "CODE_SIZE_LIMIT", 11)
+        a = lazily(CodeFamily(2, {0: (0, 1, 2), 1: (3,)}))
+        b = lazily(CodeFamily(1, {0: (0,), 1: (1, 0)}))
+        prod = product_code([a, b])  # nothing built yet
+        levels = prod.levels()
+        assert next(levels) == (0, (0, 1, 2))  # 3 * 1 centers built
+        # level 1 builds level 1 of both: 4 * 3 = 12 centers
+        with pytest.raises(CoverError, match="code size guard: 12 centers > 11"):
+            next(levels)
+        with pytest.raises(CoverError, match="code size guard"):
+            prod.size()  # the refused level is not kept, so a later read repeats it
+
+
+class TestBounds:
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=_power_shapes(), k=st.integers(3, 5), lam=_lams, block=st.sampled_from([4, 6, 20]))
+    @example(shapes=((4, tuple(range(16))),) * 3, k=3, lam=Fraction(1, 10), block=6)
+    def test_ell_bound_at_most_size(self, shapes, k, lam, block):
+        # powers kept whole and split into runs: no ell-family the product
+        # guard accepts is refused by the bound
+        with block_width_set(block):
+            fam = covering._ell_cover_shapes(shapes, k, lam)
+            assert covering._ell_least(shapes, k, lam) <= fam.size()
+            runs = covering._ell_runs(shapes)
+            if runs is not None:
+                sizes = [covering._ell_cover_shapes(run, k, lam).size() for run in runs]
+                assert math.prod(covering._ell_least(run, k, lam) for run in runs) <= math.prod(sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(0, 12), radius=st.integers(0, 13), block=st.sampled_from([4, 20]))
+    def test_cube_bound_at_most_size(self, width, radius, block):
+        with block_width_set(block):
+            assert covering._cube_least(width, radius) <= cover_cube(width, radius).size()
+
+    def test_ell_bound_by_hand(self):
+        # one 3-bit space of 7 words at k = 3, lambda = 1/2: ell = 3 and
+        # budgets 2, 1, 1. Level 0 takes 2 words, leaving at least 5; level
+        # 1 min(1, ceil(5 / 4)) = 1, leaving at least 1; level 2 min(1, 1)
+        # and level 3 ceil(0 / 8) = 0
+        shapes = ((3, tuple(range(1, 8))),)
+        assert covering._ell_level_least(shapes, 3, Fraction(1, 2)) == [2, 1, 1, 0]
+        assert covering._ell_least(shapes, 3, Fraction(1, 2)) == 4
+
+
 class TestEllFamily:
     def test_ell_formula(self):
         assert ell_for(2, 3, Fraction(3, 7)) == 4
@@ -447,6 +603,62 @@ class TestGeneralized:
         a = build_generalized_code(space, [lam], 3)
         b = fresh(monkeypatch, "build_generalized_code", space, [lam], 3)
         assert a.entries == b.entries
+
+
+class TestEagerEquivalence:
+    """Every family, built to the end one level at a time, lists the
+    entries the eager build gives, in the same order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(0, 13), radius=st.integers(0, 6), block=st.sampled_from([4, 5, 20]))
+    @example(width=13, radius=4, block=5)
+    def test_cubes(self, width, radius, block):
+        with block_width_set(block):
+            assert list(cover_cube(width, radius).levels()) == in_order(eager_cube(width, radius))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=_power_shapes(), k=st.integers(3, 5), lam=_lams, block=st.sampled_from([4, 6, 20]))
+    @example(shapes=((3, (1, 2, 3, 4, 5, 6, 7)),) * 3, k=3, lam=Fraction(3, 7), block=6)
+    def test_ell_families(self, shapes, k, lam, block):
+        with block_width_set(block):
+            fam = covering._ell_cover_shapes(shapes, k, lam)
+            assert list(fam.levels()) == in_order(eager_ell(shapes, k, lam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cube=st.integers(0, 7),
+        groups=st.lists(st.tuples(_power_shapes(max_width=3), _lams), max_size=2),
+        k=st.integers(3, 5),
+        block=st.sampled_from([4, 20]),
+        first=st.integers(0, 3),
+    )
+    def test_generalized(self, cube, groups, k, block, first):
+        factors = [CubeFactor(cube)] if cube else []
+        for shapes, _ in groups:
+            factors.append(PowerFactor(tuple(SolutionSpace(words, tuple(range(w))) for w, words in shapes)))
+        space = StructuredSpace(tuple(factors))
+        lams = [lam for _, lam in groups]
+        if not space.width:
+            return
+        with block_width_set(block):
+            want = in_order(eager_generalized(space, lams, k))
+            # a first family reads a few levels, which builds only some
+            # levels of the shared factors; a second reads every level
+            for _ in zip(range(first), build_generalized_code(space, lams, k).levels()):
+                pass
+            fam = build_generalized_code(space, lams, k)
+            assert list(fam.levels()) == want
+            # the up-front bound refuses nothing that every product guard
+            # accepts: the limit is the largest count one of them multiplies
+            cubes = [cover_cube(cube, covering.cube_radius(cube, k))] if cube else []
+            fams = cubes + [covering._ell_cover_shapes(shapes, k, lam) for shapes, lam in groups]
+            counts = [math.prod(f.size() for f in fams)]
+            for shapes, lam in groups:
+                runs = covering._ell_runs(shapes) or []
+                counts.append(math.prod(covering._ell_cover_shapes(run, k, lam).size() for run in runs))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(covering, "CODE_SIZE_LIMIT", max(counts))
+                generalized_size_guard(space, lams, k)
 
 
 class TestMemo:

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detksat.branching_k import SolveStats, solve_ksat
-from detksat import local_search
+from detksat import covering, local_search
 from detksat.bounds import lambda_1chain
 from detksat.chains import build_chain, build_instance, canonical_realization, canonical_zeta, zeta
 from detksat.characteristic import characteristic_for_chain
@@ -440,6 +440,42 @@ class TestDls:
         b = dls(f, stats=s2)
         assert a == b
         assert s1.balls_searched == s2.balls_searched
+
+
+class TestCodeBuiltAsFarAsSearched:
+    @staticmethod
+    def greedy_levels(monkeypatch):
+        """(width, radius) of every greedy level built from here on, with
+        the code memos emptied first."""
+        calls = []
+        greedy = covering._greedy_cover
+
+        def spy(width, radius, target, candidates, budget=None):
+            calls.append((width, radius))
+            return greedy(width, radius, target, candidates, budget)
+
+        monkeypatch.setattr(covering, "_greedy_cover", spy)
+        covering.cover_cube.cache_clear()
+        covering._ell_cover_shapes.cache_clear()
+        return calls
+
+    def test_sat_builds_only_the_levels_searched(self, monkeypatch):
+        # the first dls-threshold instance hits in a ball of total radius 1:
+        # the 4-bit cube at radius 1 times level 0 of the 12-bit ell-family
+        calls = self.greedy_levels(monkeypatch)
+        stats = SolveStats()
+        assert solve_ksat(gen_random_kcnf(4, 16, 158, 0), stats=stats).verdict == "SAT"
+        assert calls == [(4, 1), (12, 0)]
+        assert stats.dls.code_sizes == {1: 500}
+        assert stats.dls.balls_searched == 175
+
+    def test_unsat_builds_every_level(self, monkeypatch):
+        calls = self.greedy_levels(monkeypatch)
+        stats = SolveStats()
+        assert solve_ksat(gen_random_kcnf(4, 16, 158, 2), stats=stats).verdict == "UNSAT"
+        assert calls == [(4, 1)] + [(12, r) for r in range(7)]
+        assert stats.dls.code_sizes == {1: 500, 2: 168, 3: 56, 4: 20, 5: 8, 6: 4, 7: 8}
+        assert stats.dls.balls_searched == sum(stats.dls.code_sizes.values())
 
 
 class TestPinnedFingerprint:
