@@ -27,10 +27,13 @@ A family is built level by level, ascending by radius:
 ``CodeFamily.levels()`` builds a level only when the iteration reaches it,
 so the local search builds no level beyond the radius of its first hit,
 and ``entries``, ``radii()``, ``size()`` and ``dump()`` build every level.
-An ell-family builds greedy level r from the words its levels below r left
-uncovered, which it keeps between calls. A product builds its level R from
-the factor levels whose radii can sum to R, each factor level the first
-time a choice needs it.
+A cube code builds its one greedy level when first read; an ell-family
+builds greedy level r from the words its levels below r left uncovered,
+which it keeps between calls; a product builds its level R from the factor
+levels whose radii can sum to R, each the first time a choice needs it.
+Forming a family builds nothing, and states lower bounds on its entries
+(``least``) and distinct centers (``distinct``), so ``product_code``, the
+one code size guard, refuses an oversized product before any level is built.
 
 A code is a pure function of its shape, so ``cover_cube`` (keyed by width and
 radius) and ``ell_cover_spaces`` (keyed by the spaces' widths and words, k and
@@ -161,9 +164,11 @@ class CodeFamily:
     family given its ``entries`` is built from the start. A step that
     raises leaves its state unchanged, so the next request repeats it.
     Nothing can be set from outside, and ``entries`` is a read-only view.
+    ``least`` and ``distinct`` bound its entries and its distinct centers
+    from below; by default they count the given entries.
     """
 
-    __slots__ = ("width", "description", "_built", "_step")
+    __slots__ = ("width", "description", "least", "distinct", "_built", "_step")
 
     def __init__(
         self,
@@ -171,9 +176,16 @@ class CodeFamily:
         entries: Optional[Mapping[int, Sequence[int]]] = None,
         description: str = "",
         step: Optional[Callable[[], Optional[Level]]] = None,
+        least: Optional[int] = None,
+        distinct: Optional[int] = None,
     ) -> None:
         built = sorted((r, tuple(cs)) for r, cs in (entries or {}).items())
-        for name, value in (("width", width), ("description", description), ("_built", built), ("_step", step)):
+        if least is None:
+            least = sum(len(cs) for _, cs in built)
+        if distinct is None:
+            distinct = len({c for _, cs in built for c in cs})
+        fields = (width, description, least, distinct, built, step)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -353,7 +365,8 @@ def _greedy_cover(
 
 @functools.cache
 def cover_cube(width: int, radius: int) -> CodeFamily:
-    """Single-radius covering code for the full cube, greedy set cover; a
+    """Single-radius covering code for the full cube, greedy set cover built
+    when first read, bounded by the sphere-covering bound 2^w / V(w, r); a
     cube wider than BLOCK_WIDTH is the product of balanced blocks.
 
     Memoized per process by (width, radius); ``cover_cube.__wrapped__``
@@ -371,13 +384,20 @@ def cover_cube(width: int, radius: int) -> CodeFamily:
             [cover_cube(w, r) for w, r in blocks],
             "cube width %d (blocks %s)" % (width, [w for w, _ in blocks]),
         )
-    n = 1 << width
-    all_true = np.ones(n, dtype=bool)
-    centers, uncovered = _greedy_cover(width, radius, all_true, all_true)
-    if uncovered.any():
-        raise CoverError("greedy cube cover failed (width %d radius %d)" % (width, radius))
-    log.debug("cover_cube(%d, %d): %d centers", width, radius, len(centers))
-    return CodeFamily(width, {radius: tuple(centers)}, "cube width %d" % width)
+
+    def step() -> Optional[Level]:
+        if fam.built_size():
+            return None  # the one level is built
+        all_true = np.ones(1 << width, dtype=bool)
+        centers, uncovered = _greedy_cover(width, radius, all_true, all_true)
+        if uncovered.any():
+            raise CoverError("greedy cube cover failed (width %d radius %d)" % (width, radius))
+        log.debug("cover_cube(%d, %d): %d centers", width, radius, len(centers))
+        return radius, tuple(centers)
+
+    least = -(-(1 << width) // _ball_size(width, radius))
+    fam = CodeFamily(width, description="cube width %d" % width, step=step, least=least, distinct=least)
+    return fam
 
 
 def _balanced(count: int, cap: int) -> list[int]:
@@ -392,14 +412,8 @@ def _ball_size(width: int, radius: int) -> int:
     return sum(math.comb(width, i) for i in range(radius + 1))
 
 
-def _size_guard(least: int) -> None:
-    if least > CODE_SIZE_LIMIT:
-        raise CoverError("code size guard: at least %d centers > %d" % (least, CODE_SIZE_LIMIT))
-
-
 def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
-    """Balanced blocks of a cube wider than BLOCK_WIDTH with their radii;
-    refused if their product code must exceed CODE_SIZE_LIMIT centers."""
+    """Balanced blocks of a cube wider than BLOCK_WIDTH with their radii."""
     widths = _balanced(width, BLOCK_WIDTH)
     # integer radii summing to `radius`, largest remainder apportionment
     quotas = [radius * w / width for w in widths]
@@ -408,29 +422,12 @@ def _cube_blocks(width: int, radius: int) -> list[tuple[int, int]]:
     order = sorted(range(len(widths)), key=lambda i: (-(quotas[i] - int(quotas[i])), i))
     for i in order[:short]:
         radii[i] += 1
-    blocks = list(zip(widths, radii))
-    # an oversized code is refused before any block is built
-    _size_guard(math.prod(_cube_least(w, r) for w, r in blocks))
-    return blocks
-
-
-def _cube_least(width: int, radius: int) -> int:
-    """A lower bound on the size of ``cover_cube(width, radius)``: a
-    radius-r code of {0,1}^w has at least 2^w / V(w, r) centers (the
-    sphere-covering bound), and a blocked cube's code is the product of its
-    blocks' single-radius codes, so its size is the product of theirs."""
-    if width > BLOCK_WIDTH and radius < width:
-        return math.prod(_cube_least(w, r) for w, r in _cube_blocks(width, radius))
-    return -(-(1 << width) // _ball_size(width, radius))
+    return list(zip(widths, radii))
 
 
 def cube_radius(width: int, k: int) -> int:
-    """The free cube's radius ceil(width / k); first raises the code size
-    guard if the cube's code must exceed CODE_SIZE_LIMIT centers."""
-    radius = -(-width // k)
-    if width > BLOCK_WIDTH and radius < width:
-        _cube_blocks(width, radius)
-    return radius
+    """The free cube's radius ceil(width / k)."""
+    return -(-width // k)
 
 
 def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeFamily:
@@ -445,10 +442,19 @@ def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeF
     least radii, so a family's level is built the first time a choice of
     some level needs it.
 
+    The product's ``distinct`` is prod_i d_i, d_i the ``distinct`` of
+    family i: each choice of one distinct center per family packs a word of
+    its own. Its ``least`` is max_j least_j * prod_{i != j} d_i: for any
+    family j, each (radius, center) entry of j joined with one distinct
+    center of every other family (taken at one of its radii) is filed under
+    its own (radius, word), so the product holds at least size_j *
+    prod_{i != j} d_i entries.
+
     The product of the family sizes bounds the product's size. The code
-    size guard refuses the product as soon as the sizes of the levels built
-    so far multiply to more than CODE_SIZE_LIMIT: when it is formed, and
-    again before each level is packed.
+    size guard refuses the product when it is formed if the families'
+    ``least`` bounds multiply to more than CODE_SIZE_LIMIT, and as soon as
+    the sizes of their levels built so far do, when it is formed and again
+    before each level is packed.
     """
     if not families:
         raise CoverError("empty product")
@@ -460,6 +466,9 @@ def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeF
             raise CoverError("code size guard: %d centers > %d" % (count, CODE_SIZE_LIMIT))
 
     guard()
+    bound = math.prod(fam.least for fam in families)
+    if bound > CODE_SIZE_LIMIT:
+        raise CoverError("code size guard: at least %d centers > %d" % (bound, CODE_SIZE_LIMIT))
     done = -1  # the last radius built; none yet
 
     def step() -> Optional[Level]:
@@ -484,7 +493,10 @@ def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeF
             radius += 1
 
     width = sum(fam.width for fam in families)
-    return CodeFamily(width, description=description or "product of %d codes" % len(families), step=step)
+    description = description or "product of %d codes" % len(families)
+    ds = [fam.distinct for fam in families]
+    least = max(fam.least * math.prod(ds[:j] + ds[j + 1 :]) for j, fam in enumerate(families))
+    return CodeFamily(width, description=description, step=step, least=least, distinct=math.prod(ds))
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
@@ -539,7 +551,9 @@ def _ell_budgets(nu: int, k: int, lam: Fraction) -> list[int]:
 @functools.lru_cache(maxsize=None, typed=True)
 def _ell_cover_shapes(shapes: Shapes, k: int, lam: Fraction) -> CodeFamily:
     """``ell_cover_spaces`` over (width, words) per space; memoized, and
-    ``_ell_cover_shapes.__wrapped__`` builds without the memo."""
+    ``_ell_cover_shapes.__wrapped__`` builds without the memo. A whole
+    power's ``distinct`` is its largest level bound: a level's centers are
+    distinct."""
     budgets = _ell_budgets(len(shapes), k, lam)
     runs = _ell_runs(shapes)
     if runs is not None:
@@ -548,12 +562,17 @@ def _ell_cover_shapes(shapes: Shapes, k: int, lam: Fraction) -> CodeFamily:
             "ell-family nu=%d (runs %s)" % (len(shapes), [len(run) for run in runs]),
         )
     width = sum(w for w, _ in shapes)
-    member = np.zeros(1 << width, dtype=bool)
-    member[np.fromiter(pack_words(shapes), dtype=np.int64)] = True
-    r, uncovered = 0, member
+    r, member, uncovered = 0, None, None
 
     def step() -> Optional[Level]:
-        nonlocal r, uncovered
+        nonlocal r, member, uncovered
+        if member is None:
+            member = np.ones(1, dtype=bool)  # an outer AND of the spaces' bitmaps
+            for w, words in shapes:
+                part = np.zeros(1 << w, dtype=bool)
+                part[list(words)] = True
+                member = np.logical_and.outer(part, member).ravel()
+            uncovered = member
         if r and not uncovered.any():
             return None
         if r > len(budgets):
@@ -564,12 +583,14 @@ def _ell_cover_shapes(shapes: Shapes, k: int, lam: Fraction) -> CodeFamily:
         r, uncovered = r + 1, left
         return r - 1, tuple(centers)
 
-    return CodeFamily(width, description="ell-family nu=%d ell=%d" % (len(shapes), len(budgets)), step=step)
+    least = _ell_level_least(shapes, k, lam)
+    description = "ell-family nu=%d ell=%d" % (len(shapes), len(budgets))
+    return CodeFamily(width, description=description, step=step, least=sum(least), distinct=max(least))
 
 
-def _ell_least(shapes: Shapes, k: int, lam: Fraction) -> int:
-    """A lower bound on the size of ``_ell_cover_shapes(shapes, k, lam)``,
-    computed without building it.
+def _ell_level_least(shapes: Shapes, k: int, lam: Fraction) -> list[int]:
+    """Per level, a lower bound on the centers of an ell-family of a power
+    kept whole, computed without building it.
 
     Level r < ell takes centers up to its budget b_r while words stay
     uncovered (an uncovered word is a candidate, so the greedy never stops
@@ -578,31 +599,7 @@ def _ell_least(shapes: Shapes, k: int, lam: Fraction) -> int:
     U_r = |M| - sum_{i<r} b_i V(w, i), floored at 0, level r has at least
     min(b_r, ceil(U_r / V(w, r))) centers and level ell at least
     ceil(U_ell / V(w, ell)).
-
-    A split power is the product of its runs' families. The product's
-    guard multiplies their sizes, so the power is refused here when their
-    bounds do. A center may recur at another level, and the product keeps
-    such a word once, so its own size needs another bound. The centers of
-    one level are distinct (a picked center's ball is covered), so run i
-    has at least d_i distinct centers, d_i its largest level bound. For any
-    run j, each (radius, center) entry of run j joined with one entry of
-    each distinct center of every other run is filed under its own
-    (radius, word): the product holds at least size_j * prod_{i != j} d_i
-    centers.
     """
-    runs = _ell_runs(shapes)
-    if runs is not None:
-        levels = [_ell_level_least(run, k, lam) for run in runs]
-        sizes = [sum(ls) for ls in levels]
-        _size_guard(math.prod(sizes))
-        distinct = [max(ls) for ls in levels]
-        p = math.prod(distinct)
-        return max(s * (p // d) for s, d in zip(sizes, distinct))
-    return sum(_ell_level_least(shapes, k, lam))
-
-
-def _ell_level_least(shapes: Shapes, k: int, lam: Fraction) -> list[int]:
-    """Per level, the lower bound of ``_ell_least`` on a power kept whole."""
     budgets = _ell_budgets(len(shapes), k, lam)
     width = sum(w for w, _ in shapes)
     left = math.prod(len(words) for _, words in shapes)
@@ -619,8 +616,9 @@ def _ell_level_least(shapes: Shapes, k: int, lam: Fraction) -> list[int]:
 def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: int) -> CodeFamily:
     """Family for a cube-times-chains space: cube covered at ceil(n'/k),
     each chain-group by its ell-family, combined by the radius-summing
-    ``product_code``. The ell-families' levels are built when the product's
-    levels need them."""
+    ``product_code``, which refuses an oversized family before any level is
+    built. The factors' levels are built when the product's levels need
+    them."""
     if sum(isinstance(f, CubeFactor) for f in space.factors) > 1:
         raise CoverError("at most one cube factor")
     if sum(isinstance(f, PowerFactor) for f in space.factors) != len(lams):
@@ -633,22 +631,6 @@ def build_generalized_code(space: StructuredSpace, lams: Sequence[Fraction], k: 
         elif f.width:
             families.append(cover_cube(f.width, cube_radius(f.width, k)))
     return product_code(families, "generalized family over width %d" % space.width)
-
-
-def generalized_size_guard(space: StructuredSpace, lams: Sequence[Fraction], k: int) -> None:
-    """Raise the code size guard, before any code is built, when the
-    product ``build_generalized_code`` forms must refuse: the cube's
-    sphere-covering bound times each chain group's ell-family bound
-    (``_ell_least``) is a lower bound on the product of the factor sizes
-    that its guard multiplies."""
-    lam_iter = iter(lams)
-    least = 1
-    for f in space.factors:
-        if isinstance(f, PowerFactor):
-            least *= _ell_least(tuple((s.width, s.words) for s in f.spaces), k, next(lam_iter))
-        elif f.width:
-            least *= _cube_least(f.width, cube_radius(f.width, k))
-    _size_guard(least)
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,7 @@ from typing import Optional
 
 from .chains import Chain, Instance, canonical_zeta, group_by_type, solution_space
 from .characteristic import characteristic_for_chain, lambda_for_zeta
-from .covering import (
-    CubeFactor,
-    PowerFactor,
-    StructuredSpace,
-    build_generalized_code,
-    cube_radius,
-    generalized_size_guard,
-)
+from .covering import CubeFactor, PowerFactor, StructuredSpace, build_generalized_code, cover_cube, cube_radius
 from .formula import Formula, satisfies, verify_model
 
 
@@ -169,21 +162,20 @@ def structured_space_for(
     f: Formula, inst: Instance, k: int
 ) -> tuple[StructuredSpace, list[Fraction]]:
     """Free-variable cube times one power factor per chain-isomorphism group,
-    and the group's characteristic value at width k, in group order. A cube
-    whose code would pass the code size guard is refused first, before any
-    lambda is solved; a generalized family whose factors' lower bounds pass
-    it is refused next, before any code is built."""
+    and the group's characteristic value at width k, in group order. It
+    forms the free cube's memoized code first, which builds nothing: the
+    code size guard refuses an oversized cube there, before any lambda is
+    solved (``build_generalized_code`` refuses an oversized family before
+    any code is built)."""
     used = inst.variables()
     free = tuple(v for v in range(1, f.n + 1) if v not in used)
-    cube_radius(len(free), k)  # an oversized cube is refused before any lambda
+    cover_cube(len(free), cube_radius(len(free), k))
     factors: list = [CubeFactor(len(free), free)] if free else []
     lams: list[Fraction] = []
     for key, group in group_by_type(inst.chains).items():
         factors.append(PowerFactor(tuple(solution_space(ch) for ch in group)))
         lams.append(group_lambda(key, group[0], k))
-    space = StructuredSpace(tuple(factors))
-    generalized_size_guard(space, lams, k)
-    return space, lams
+    return StructuredSpace(tuple(factors)), lams
 
 
 def _validate_instance_clauses(f: Formula, inst: Instance) -> None:

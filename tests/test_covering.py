@@ -23,12 +23,14 @@ from detksat.covering import (
     cover_cube,
     ell_cover_spaces,
     ell_for,
-    generalized_size_guard,
     pack_words,
     product_code,
     verify_coverage,
 )
+from detksat.branching_k import greedy_maximal_1chains
 from detksat.formula import hamming
+from detksat.generator import gen_random_kcnf
+from detksat.local_search import structured_space_for
 
 
 def covers(family, words):
@@ -282,10 +284,10 @@ class TestGreedyCover:
     def test_updates_replace_recounts(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         fam = cover_cube.__wrapped__(12, 1)
+        assert len(fam.entries[1]) == 512
         # the ball's transform and one correlation (two), against one
         # correlation per center before
         assert calls == [1 << 12] * 3
-        assert len(fam.entries[1]) == 512
 
     def test_large_pick_recounts(self, monkeypatch):
         calls = count_transforms(monkeypatch)
@@ -351,6 +353,11 @@ def _families(draw):
     return CodeFamily(
         width, {r: tuple(draw(st.lists(words, max_size=3, unique=True))) for r in radii}
     )
+
+
+def distinct_centers(fam):
+    """The family's distinct centers, over all its levels."""
+    return len({c for _, cs in fam.levels() for c in cs})
 
 
 def covered_at(fam, r):
@@ -514,17 +521,29 @@ class TestBounds:
         # guard accepts is refused by the bound
         with block_width_set(block):
             fam = covering._ell_cover_shapes(shapes, k, lam)
-            assert covering._ell_least(shapes, k, lam) <= fam.size()
+            assert fam.least <= fam.size()
+            assert fam.distinct <= distinct_centers(fam)
             runs = covering._ell_runs(shapes)
             if runs is not None:
-                sizes = [covering._ell_cover_shapes(run, k, lam).size() for run in runs]
-                assert math.prod(covering._ell_least(run, k, lam) for run in runs) <= math.prod(sizes)
+                fams = [covering._ell_cover_shapes(run, k, lam) for run in runs]
+                assert math.prod(f.least for f in fams) <= math.prod(f.size() for f in fams)
 
     @settings(max_examples=60, deadline=None)
     @given(width=st.integers(0, 12), radius=st.integers(0, 13), block=st.sampled_from([4, 20]))
     def test_cube_bound_at_most_size(self, width, radius, block):
         with block_width_set(block):
-            assert covering._cube_least(width, radius) <= cover_cube(width, radius).size()
+            fam = cover_cube(width, radius)
+            assert fam.least <= fam.size()
+            assert fam.distinct <= distinct_centers(fam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fams=st.lists(st.tuples(_families(), st.booleans()), min_size=1, max_size=3))
+    @example(fams=[(CodeFamily(1, {0: (0, 1), 1: (0,)}), False), (CodeFamily(2, {1: (3,), 2: (3, 0)}), False)])
+    def test_product_bound_at_most_size(self, fams):
+        # each factor given at once or built one level at a time
+        prod = product_code([lazily(fam) if lazy else fam for fam, lazy in fams])
+        assert prod.least <= prod.size()
+        assert prod.distinct <= distinct_centers(prod)
 
     def test_ell_bound_by_hand(self):
         # one 3-bit space of 7 words at k = 3, lambda = 1/2: ell = 3 and
@@ -533,7 +552,7 @@ class TestBounds:
         # and level 3 ceil(0 / 8) = 0
         shapes = ((3, tuple(range(1, 8))),)
         assert covering._ell_level_least(shapes, 3, Fraction(1, 2)) == [2, 1, 1, 0]
-        assert covering._ell_least(shapes, 3, Fraction(1, 2)) == 4
+        assert covering._ell_cover_shapes(shapes, 3, Fraction(1, 2)).least == 4
 
 
 class TestEllFamily:
@@ -596,6 +615,27 @@ class TestGeneralized:
         # radii run from ceil(4/3) upward
         assert min(fam.radii()) == 2
 
+    @pytest.mark.parametrize("limit", [747, 748])
+    def test_forming_builds_nothing(self, monkeypatch, limit):
+        # gen_random_kcnf(4, 16, 158, 0): a 4-bit cube at radius 1 (at least
+        # ceil(16 / 5) = 4 centers) times a 12-bit power of three 1-chains (at
+        # least 187), so the product's guard multiplies 4 * 187 = 748
+        f = gen_random_kcnf(4, 16, 158, 0)
+        space, lams = structured_space_for(f, greedy_maximal_1chains(f), 4)
+        assert [fac.width for fac in space.factors] == [4, 12]
+
+        def no_build(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(covering, "_greedy_cover", no_build)
+        monkeypatch.setattr(covering, "pack_words", no_build)
+        monkeypatch.setattr(covering, "CODE_SIZE_LIMIT", limit)
+        if limit < 748:
+            with pytest.raises(CoverError, match="code size guard: at least 748 centers > 747"):
+                fresh(monkeypatch, "build_generalized_code", space, lams, 4)
+        else:
+            assert fresh(monkeypatch, "build_generalized_code", space, lams, 4).least == 748
+
     def test_determinism(self, monkeypatch):
         sp = solution_space(canonical_realization("n*"))
         space = StructuredSpace((CubeFactor(5), PowerFactor((sp,))))
@@ -632,6 +672,8 @@ class TestEagerEquivalence:
         block=st.sampled_from([4, 20]),
         first=st.integers(0, 3),
     )
+    # two 12-bit powers of 4096 centers each: 2^24 > CODE_SIZE_LIMIT
+    @example(cube=0, groups=[(((3, tuple(range(8))),) * 4, Fraction(1, 10))] * 2, k=3, block=4, first=0)
     def test_generalized(self, cube, groups, k, block, first):
         factors = [CubeFactor(cube)] if cube else []
         for shapes, _ in groups:
@@ -641,24 +683,32 @@ class TestEagerEquivalence:
         if not space.width:
             return
         with block_width_set(block):
-            want = in_order(eager_generalized(space, lams, k))
-            # a first family reads a few levels, which builds only some
-            # levels of the shared factors; a second reads every level
-            for _ in zip(range(first), build_generalized_code(space, lams, k).levels()):
-                pass
-            fam = build_generalized_code(space, lams, k)
-            assert list(fam.levels()) == want
-            # the up-front bound refuses nothing that every product guard
-            # accepts: the limit is the largest count one of them multiplies
             cubes = [cover_cube(cube, covering.cube_radius(cube, k))] if cube else []
             fams = cubes + [covering._ell_cover_shapes(shapes, k, lam) for shapes, lam in groups]
+            try:
+                # a first family reads a few levels, which builds only some
+                # levels of the shared factors; a second reads every level
+                for _ in zip(range(first), build_generalized_code(space, lams, k).levels()):
+                    pass
+                fam = build_generalized_code(space, lams, k)
+                got = list(fam.levels())
+            except CoverError as e:
+                # the guard refuses only a product whose factor sizes
+                # multiply past the limit
+                assert str(e).startswith("code size guard")
+                assert math.prod(f.size() for f in fams) > covering.CODE_SIZE_LIMIT
+                return
+            assert got == in_order(eager_generalized(space, lams, k))
+            # the bounds refuse nothing that every product guard accepts: the
+            # limit is the largest count one of them multiplies, and the
+            # family is formed afresh, with no level built
             counts = [math.prod(f.size() for f in fams)]
             for shapes, lam in groups:
                 runs = covering._ell_runs(shapes) or []
                 counts.append(math.prod(covering._ell_cover_shapes(run, k, lam).size() for run in runs))
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(covering, "CODE_SIZE_LIMIT", max(counts))
-                generalized_size_guard(space, lams, k)
+                fresh(m, "build_generalized_code", space, lams, k)
 
 
 class TestMemo:
