@@ -162,7 +162,11 @@ def procedure_p_tracked(f: Node) -> tuple[Node, dict[int, int]]:
                 cut = next(l for l in clauses[s].lits if abs(l) in tb.fixes)
                 rest = tuple(l for l in clauses[s].lits if l != cut)
                 g = g.remove(s, cut)
-                kept = {l: _after_cut(p, s, cut, rest) for l, p in probes.items()}
+                # case (a) of _after_cut, without the call: a probe that fixes
+                # no variable of s is kept as it is
+                va, vb, vc = abs(cut), abs(rest[0]), abs(rest[1])
+                kept = {l: p if va not in p.fixes and vb not in p.fixes and vc not in p.fixes
+                        else _after_cut(p, s, cut, rest) for l, p in probes.items()}
                 # a 2-clause stays quiet while both its probes are unchanged
                 quiet = {j: c for j, c in quiet.items() if all(kept[l] is probes[l] for l in c)}
                 probes = {l: p for l, p in kept.items() if p is not None}

@@ -1,33 +1,27 @@
 """Derandomized local search: covering-code enumeration plus complete
 bounded-radius ball search.
 
-searchball branches on the literals of the first unsatisfied clause with a
-shrinking flip budget and never flips a variable back to its value at the
-center; it finds a satisfying assignment within Hamming distance r of the
-start iff one exists. Its state is an assignment word: the unsatisfied
-clauses of a word are one bitset taken from the formula's per-byte tables
-(``Formula.byte_sat_tables``), a flip is an XOR with a precomputed variable
-bit, and a word whose sub-ball was already searched and found empty is not
-expanded again. The last two flips are decided with clause masks
-(``Formula.clause_flips``: per literal, its bit and the clauses it
-satisfies) before any table pass: a last flip is tried only if its literal
-satisfies every unsatisfied clause, and a flip with one more to follow
-only if some unmoved literal of the first clause it leaves unsatisfied
-satisfies all the clauses it leaves. Both cuts skip only subtrees that hold
-no solution and keep the depth-first order of the rest, so the first hit,
-and with it the verdict and the ball count of dls, are the uncut search's.
-dls forms the generalized covering family for
-the formula's structured space (free-variable cube times chain solution
-spaces) and runs searchball from every center, ascending by radius; it
-builds each level of the family only when the search reaches its radius,
-so a SAT formula builds no level past the radius of its first hit.
+The ball search branches on the literals of the first unsatisfied clause
+with a shrinking flip budget and never flips a variable back to its value
+at the center; it finds a satisfying assignment within Hamming distance r
+of the center iff one exists. Its state is an assignment word: the
+unsatisfied clauses of a word are one bitset taken from the formula's
+per-byte tables (``Formula.byte_sat_tables``), a flip is an XOR with a
+precomputed variable bit, and a word whose sub-ball was already searched
+and found empty in the current ball is not expanded again. Clause masks
+(``Formula.clause_flips``) cut the last two flips without a table pass and
+keep the first hit. dls forms the generalized covering family for the
+formula's structured space (free-variable cube times chain solution
+spaces), sets up one ball searcher, and scans each level with it in
+ascending radius; it builds a level only when the search reaches its
+radius, so a SAT formula builds no level past the radius of its first hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .chains import Chain, Instance, canonical_zeta, group_by_type, solution_space
 from .characteristic import characteristic_for_chain, lambda_for_zeta
@@ -35,15 +29,15 @@ from .covering import CubeFactor, PowerFactor, StructuredSpace, build_generalize
 from .formula import Formula, satisfies, verify_model
 
 
-def searchball(f: Formula, center: int, r: int) -> Optional[int]:
-    """Complete search of the radius-r ball around an assignment word.
+def ball_searcher(f: Formula) -> Callable[[Iterable[int], int], tuple[int, Optional[int]]]:
+    """The ball search of f, set up once: ``scan(centers, r)`` searches the
+    radius-r ball around each center word in turn, and returns the number
+    of balls searched (the hit's included) and the first hit or None.
 
-    In a word, bit v-1 is the value of variable v. Deterministic: always
+    In a word, bit v-1 is the value of variable v. A ball's search always
     branches the first unsatisfied clause in clause order, setting its
-    literals true in clause order, one unit of budget per flip, and never
-    flips a variable back: a literal whose variable already differs from
-    ``center`` is skipped. Returns the first satisfying word found in that
-    order, or None if the ball holds none.
+    literals true in clause order, one unit of budget per flip, and skips a
+    literal whose variable already differs from the center (no flip back).
 
     The search is complete (Dantsin et al. 2002): take a solution s within
     distance r. A word reached by flipping only variables on which s differs
@@ -53,7 +47,8 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
     away from the center, so a word w is always reached with budget
     r - |w ^ center|, and a word whose sub-ball was searched and found empty
     is not expanded again, nor even evaluated (it is known unsatisfied).
-    The set of such words lives for one call.
+    The set of such words lives for one ball, since the flips a sub-ball
+    skips depend on its center.
 
     Two rules cut the last two levels without a table pass. Every literal
     of an unsatisfied clause is false and a flip changes only its own
@@ -67,19 +62,17 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
     ``left & ~sets_l2 == 0``, the child is skipped unvisited. (That clause
     holds no literal of l1's variable: it is not satisfied by l1, and not l1
     is true at the parent, where the clause is false; so its unmoved
-    literals are the same at the parent and at the child.) Both rules skip only
-    subtrees that hold no solution and visit the rest in the same depth
-    first order, so the first hit is the one the uncut search finds. A
-    skipped child is not added to the empty set.
+    literals are the same at the parent and at the child.) Both rules skip
+    only subtrees that hold no solution and keep the depth-first order of
+    the rest. A skipped child is not added to the empty set.
     """
     if f.has_bottom:
         raise ValueError("bottom clause present")
-    if r < 0:
-        raise ValueError("negative radius")
     full = (1 << len(f.clauses)) - 1
     tables = f.byte_sat_tables
     flips = f.clause_flips
     empty: set[int] = set()
+    center = 0
 
     def rec(w: int, budget: int) -> Optional[int]:
         # w has not been expanded; budget is 0 only at a radius-0 center
@@ -128,7 +121,24 @@ def searchball(f: Formula, center: int, r: int) -> Optional[int]:
         empty.add(w)
         return None
 
-    return rec(center, r)
+    def scan(centers: Iterable[int], r: int) -> tuple[int, Optional[int]]:
+        nonlocal center
+        if r < 0:
+            raise ValueError("negative radius")
+        balls = 0
+        for balls, center in enumerate(centers, 1):
+            empty.clear()
+            if (hit := rec(center, r)) is not None:
+                return balls, hit
+        return balls, None
+
+    return scan
+
+
+def searchball(f: Formula, center: int, r: int) -> Optional[int]:
+    """The first satisfying word of the radius-r ball around ``center`` in
+    ``ball_searcher``'s order, or None if the ball holds none."""
+    return ball_searcher(f)((center,), r)[1]
 
 
 @dataclass
@@ -203,6 +213,16 @@ def _byte_word_tables(coord_vars: tuple[int, ...]) -> list[list[int]]:
     return tables
 
 
+def _center_words(centers: Iterable[int], word_tables: list[list[int]]) -> Iterator[int]:
+    """The assignment word of each center, in order."""
+    for center in centers:
+        word, rest = 0, center
+        for table in word_tables:
+            word |= table[rest & 255]
+            rest >>= 8
+        yield word
+
+
 def dls(
     f: Formula,
     inst: Optional[Instance] = None,
@@ -224,22 +244,16 @@ def dls(
         alpha = {v: 0 for v in range(1, f.n + 1)}
         return alpha if satisfies(f, alpha) else None
     family = build_generalized_code(space, lams, k)
-    if stats is not None:
-        stats.code_sizes = {}
+    stats = stats if stats is not None else DlsStats()
+    stats.code_sizes = {}
     word_tables = _byte_word_tables(space.coordinate_variables())
+    scan = ball_searcher(f)
     for r, centers in family.levels():
-        if stats is not None:
-            stats.code_sizes[r] = len(centers)
-        for center in centers:
-            word, rest = 0, center
-            for table in word_tables:
-                word |= table[rest & 255]
-                rest >>= 8
-            if stats is not None:
-                stats.balls_searched += 1
-            hit = searchball(f, word, r)
-            if hit is not None:
-                alpha = {v: (hit >> (v - 1)) & 1 for v in range(1, f.n + 1)}
-                verify_model(f, alpha)
-                return alpha
+        stats.code_sizes[r] = len(centers)
+        balls, hit = scan(_center_words(centers, word_tables), r)
+        stats.balls_searched += balls
+        if hit is not None:
+            alpha = {v: (hit >> (v - 1)) & 1 for v in range(1, f.n + 1)}
+            verify_model(f, alpha)
+            return alpha
     return None

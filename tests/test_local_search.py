@@ -15,7 +15,7 @@ from detksat.characteristic import characteristic_for_chain
 from detksat.covering import build_generalized_code
 from detksat.formula import brute_force_sat, clause, formula, hamming, satisfies, verify_model
 from detksat.generator import gen_random_kcnf
-from detksat.local_search import DlsStats, dls, group_lambda, searchball, structured_space_for
+from detksat.local_search import DlsStats, ball_searcher, dls, group_lambda, searchball, structured_space_for
 
 
 def as_word(alpha, n):
@@ -353,6 +353,61 @@ class TestSearchball:
                 assert hamming(got, cw) <= r
 
 
+def _fresh_scan(f, centers, r):
+    """A level scan as a loop of fresh searchball calls: the balls searched,
+    the hit's included, and the first hit."""
+    for balls, center in enumerate(centers, 1):
+        hit = searchball(f, center, r)
+        if hit is not None:
+            return balls, hit
+    return len(centers), None
+
+
+@st.composite
+def _levels(draw):
+    """A CNF without bottom and up to three levels of one searcher: center
+    lists holding repeats and neighbours (words one flip apart), each with
+    a radius from 0 to 4."""
+    f = draw(_cnf())
+    base = draw(st.lists(st.integers(0, (1 << f.n) - 1), min_size=1, max_size=5))
+    picks = st.tuples(st.integers(0, len(base) - 1), st.integers(-1, f.n - 1))
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        centers = [base[i] if j < 0 else base[i] ^ 1 << j for i, j in draw(st.lists(picks, max_size=8))]
+        levels.append((centers, draw(st.integers(0, 4))))
+    return f, levels
+
+
+class TestBallSearcher:
+    @settings(max_examples=300, deadline=None)
+    @given(_levels())
+    @example((formula(4, [(-4, 3), (4, 1), (2,), (-2, -3)]), [([0b1100, 0b1110, 0b1110], 3), ([0b0011], 0)]))
+    def test_scan_matches_fresh_searchball(self, case):
+        f, levels = case
+        scan = ball_searcher(f)
+        for centers, r in levels:
+            assert scan(centers, r) == _fresh_scan(f, centers, r)
+
+    def test_empty_set_is_per_ball(self):
+        # The only solution is 0011 (x1 = x2 = 1, x3 = x4 = 0; x4 leftmost).
+        # Under center 1100 the radius-3 ball holds none: the search flips x2
+        # (1110), then x3 (1010, budget 1); there (-4, 3) is the first false
+        # clause, x3 is moved and setting x4 false falsifies (4, 1), so 1010
+        # and then 1110 are found empty. Under center 1110 the hit is 3 flips
+        # away through 1010, now with budget 2 (x3, x4, then x1). A set kept
+        # from the first ball would skip 1010 and miss it.
+        f = formula(4, [(-4, 3), (4, 1), (2,), (-2, -3)])
+        assert searchball(f, 0b1100, 3) is None
+        assert searchball(f, 0b1110, 3) == 0b0011
+        assert ball_searcher(f)([0b1100, 0b1110], 3) == (2, 0b0011)
+
+    def test_rejects_bottom_and_negative_radius(self):
+        with pytest.raises(ValueError):
+            ball_searcher(formula(2, [(1,), ()]))
+        with pytest.raises(ValueError):
+            ball_searcher(formula(2, [(1, 2)]))([0], -1)
+
+
 class TestDls:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 21).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
@@ -498,6 +553,27 @@ class TestPinnedFingerprint:
         stats = SolveStats()
         res = solve_ksat(gen_random_kcnf(k, n, m, seed), stats=stats)
         bits = "".join(str(res.assignment[v]) for v in range(1, n + 1)) if res.assignment else ""
+        assert stats.path == "DLS"
+        assert (res.verdict, stats.dls.balls_searched, bits) == self.PINNED[shape]
+
+
+class TestPinnedDlsSat:
+    # The four k >= 4 dls-sat bench instances, gen_random_kcnf(k, n, m, seed),
+    # all decided in the radius-2 level: verdict, balls searched and
+    # assignment bits (variable 1 first).
+    PINNED = {
+        (4, 18, 126, 1): ("SAT", 173, "000010111010111101"),
+        (4, 18, 126, 3): ("SAT", 73, "010000011010100100"),
+        (5, 17, 255, 1): ("SAT", 147, "10011111001000010"),
+        (5, 17, 255, 3): ("SAT", 719, "10001010000100010"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED), ids="k{0[0]}-n{0[1]}-s{0[3]}".format)
+    def test_sat_instances(self, shape):
+        k, n, m, seed = shape
+        stats = SolveStats()
+        res = solve_ksat(gen_random_kcnf(k, n, m, seed), stats=stats)
+        bits = "".join(str(res.assignment[v]) for v in range(1, n + 1))
         assert stats.path == "DLS"
         assert (res.verdict, stats.dls.balls_searched, bits) == self.PINNED[shape]
 
