@@ -308,10 +308,8 @@ class _Search:
 
         picked = rule_upsilon(pending, alpha)
         if picked is None:
-            # a conflicting seed is a unit consequence against this branch;
-            # one without a usable member falls through to a fresh literal
-            if pending and all(tb.conflict for _, tb in pending):
-                return self._leaf(UNSAT)
+            # no seed conflicts here: each was probed for a literal this node
+            # sets true, so its conflict already falsified f in P above
             if path.origs:
                 return (yield f, alpha, self._close(path, True), ())
             return (yield from self.fresh(f, alpha, path))

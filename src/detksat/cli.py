@@ -4,14 +4,15 @@ Subcommands: solve (full pipeline / branching only / local search only /
 exhaustive oracle), gen (seeded random k-CNF), bounds (worst-case bases),
 chain-table (the 38-row chain type table), cover (covering-code builds).
 Exit codes follow solver convention: 10 satisfiable, 20 unsatisfiable,
-1 usage or parse errors, an input beyond a size guard or a failed model
-check, 2 table mismatch.
+1 a usage error, or ``error: <message>`` for a guard, malformed input,
+unwritable file or failed model check, 2 table mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,10 +20,9 @@ from . import __version__
 from .bounds import KMAX, ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
-from .chains import canonical_realization, solution_space
+from .chains import TSV_HEADER, canonical_realization, solution_space
 from .characteristic import Table2Error, reproduce_table2
 from .covering import (
-    CoverError,
     CubeFactor,
     PowerFactor,
     StructuredSpace,
@@ -31,7 +31,6 @@ from .covering import (
     verify_coverage,
 )
 from .formula import (
-    DimacsError,
     VerificationError,
     brute_force_sat,
     parse_dimacs,
@@ -70,84 +69,52 @@ def _report(res: SolveResult, path, stats: SolveStats):
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            f = parse_dimacs(fh.read())
-    except (OSError, UnicodeDecodeError, DimacsError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
+    """Report the answer: SAT with its model, checked against the formula
+    first, UNSAT, or the instance the branching hands to the local search
+    (exit 0)."""
+    with open(args.file, encoding="utf-8") as fh:
+        f = parse_dimacs(fh.read())
     try:
         phi = PhiConfig(c=args.c) if args.c is not None else None
     except ValueError as e:
-        print("error: --c: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        return _solve(f, args, phi)
-    except (VerificationError, CoverError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-
-
-def _verdict(f, res: SolveResult, path, stats: SolveStats) -> int:
-    """Report the answer: SAT with its model, checked against f first, UNSAT,
-    or the instance the branching hands to the local search (exit 0)."""
+        raise ValueError("--c: %s" % e) from None
+    trace = (lambda line: print("trace: %s" % line, file=sys.stderr)) if args.trace else None
+    stats = SolveStats()
+    if args.mode == "oracle":
+        res, path = answer(brute_force_sat(f)), "oracle"
+    elif args.mode == "dls":
+        res, path = answer(dls(f, None, stats=stats.dls)), "DLS"
+    elif args.mode == "br":
+        if f.width() > 3:
+            raise ValueError("--mode br is the 3-SAT branching; width > 3")
+        res = br_3(f, phi, trace=trace, stats=stats.br3)
+        path = "BR" if res.verdict == "INSTANCE" else "BR-solved"
+    else:
+        if f.width() > KMAX:
+            raise ValueError("width guard: clause width %d > %d" % (f.width(), KMAX))
+        res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
+        path = stats.path
     if res.verdict == "SAT":
         verify_model(f, res.assignment)
     print(json.dumps(_report(res, path, stats)))
     return {"SAT": EXIT_SAT, "UNSAT": EXIT_UNSAT}.get(res.verdict, 0)
 
 
-def _solve(f, args, phi) -> int:
-    trace = (lambda line: print("trace: %s" % line, file=sys.stderr)) if args.trace else None
-    stats = SolveStats()
-
-    if args.mode == "oracle":
-        try:
-            m = brute_force_sat(f)
-        except ValueError as e:  # the size guard
-            print("error: %s" % e, file=sys.stderr)
-            return EXIT_ERROR
-        return _verdict(f, answer(m), "oracle", stats)
-    if args.mode == "dls":
-        return _verdict(f, answer(dls(f, None, stats=stats.dls)), "DLS", stats)
-    if args.mode == "br":
-        if f.width() > 3:
-            print("error: --mode br is the 3-SAT branching; width > 3", file=sys.stderr)
-            return EXIT_ERROR
-        out = br_3(f, phi, trace=trace, stats=stats.br3)
-        return _verdict(f, out, "BR" if out.verdict == "INSTANCE" else "BR-solved", stats)
-    if f.width() > KMAX:
-        print("error: width guard: clause width %d > %d" % (f.width(), KMAX), file=sys.stderr)
-        return EXIT_ERROR
-    res = solve_ksat(f, phi_cfg=phi, stats=stats, trace=trace)
-    return _verdict(f, res, stats.path, stats)
-
-
 def _cmd_gen(args) -> int:
-    try:
-        f = gen_random_kcnf(args.k, args.n, args.m, args.seed)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    text = serialize_dimacs(f)
+    text = serialize_dimacs(gen_random_kcnf(args.k, args.n, args.m, args.seed))
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            print("error: --out: %s" % e, file=sys.stderr)
-            return EXIT_ERROR
+            raise OSError("--out: %s" % e) from None
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        rows = ck_recurrence(args.kmax)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
+    rows = ck_recurrence(args.kmax)
     print("k\tc\tnu")
     for r in rows:
         print("%d\t%.5f\t%.6f" % (r.k, round_up(r.ck), r.nu))
@@ -155,8 +122,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_chain_table(args) -> int:
-    from .chains import TSV_HEADER
-
     try:
         records = reproduce_table2()
     except Table2Error as e:
@@ -172,35 +137,26 @@ def _cmd_cover(args) -> int:
     shape, defaults = ("cube", {"rho": "1/3"}) if args.cube is not None else ("zeta", {"nu": 1, "k": 3})
     for name in ("rho", "nu", "k"):
         if getattr(args, name) is not None and name not in defaults:
-            print("error: --%s does not apply to --%s" % (name, shape), file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("--%s does not apply to --%s" % (name, shape))
     opt = {name: d if getattr(args, name) is None else getattr(args, name) for name, d in defaults.items()}
-    try:
-        if shape == "cube":
-            try:
-                rho = Fraction(opt["rho"])
-            except (ValueError, ZeroDivisionError):
-                print("error: --rho: not a fraction: %r" % opt["rho"], file=sys.stderr)
-                return EXIT_ERROR
-            if not (0 < rho < Fraction(1, 2)):
-                print("error: rho must lie in (0, 1/2)", file=sys.stderr)
-                return EXIT_ERROR
-            import math
-
-            fam = cover_cube(args.cube, math.ceil(rho * args.cube))
-            space = StructuredSpace((CubeFactor(args.cube),))
-        else:
-            nu, k = opt["nu"], opt["k"]
-            chain = canonical_realization(args.zeta)
-            sp = solution_space(chain)
-            fam = ell_cover_spaces((sp,) * nu, k, group_lambda(args.zeta, chain, k))
-            space = StructuredSpace((PowerFactor((sp,) * nu),))
-        # a product builds its levels when they are read, and its code size
-        # guard refuses while it builds them
-        radii = fam.radii()
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
+    if shape == "cube":
+        try:
+            rho = Fraction(opt["rho"])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--rho: not a fraction: %r" % opt["rho"]) from None
+        if not (0 < rho < Fraction(1, 2)):
+            raise ValueError("rho must lie in (0, 1/2)")
+        fam = cover_cube(args.cube, math.ceil(rho * args.cube))
+        space = StructuredSpace((CubeFactor(args.cube),))
+    else:
+        nu, k = opt["nu"], opt["k"]
+        chain = canonical_realization(args.zeta)
+        sp = solution_space(chain)
+        fam = ell_cover_spaces((sp,) * nu, k, group_lambda(args.zeta, chain, k))
+        space = StructuredSpace((PowerFactor((sp,) * nu),))
+    # a product builds its levels when they are read, and its code size
+    # guard refuses while it builds them: read them all before any output
+    radii = fam.radii()
     rep = verify_coverage(fam, space)
     print("# %s" % fam.description)
     for r in radii:
@@ -262,7 +218,12 @@ def main(argv=None) -> int:
     c.set_defaults(fn=_cmd_cover)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    # every guard and bad input of the commands raises one of these
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, VerificationError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

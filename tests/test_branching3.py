@@ -21,6 +21,7 @@ from detksat.branching3 import (
     tb_set,
 )
 from detksat.chains import ChainVector, zeta
+from detksat.characteristic import forced_termination, lambda_for_zeta
 from detksat.formula import (
     Clause,
     Formula,
@@ -556,6 +557,22 @@ class TestBundleSeedOnAFixedLiteral:
         st = Br3Stats()
         out = br_3(gen_random_kcnf(3, 42, 179, 2), stats=st)
         assert (out.verdict, st.nodes, st.leaves, st.splits) == ("UNSAT", 122, 82, 3)
+
+
+class TestForcedTermination:
+    def test_doubled_branch_number_close(self):
+        # with Phi out of reach, the open chain nnnn* (five clauses, below
+        # TAU_CAP) is closed with r2 by the doubled-branch-number rule
+        assert forced_termination("nnnn*", lambda_for_zeta("nnnn*"))
+        f = gen_random_kcnf(3, 24, 102, 20)
+        st = Br3Stats()
+        out = br_3(f, PhiConfig(c=1e9), stats=st)
+        assert (out.verdict, st.nodes, st.leaves, st.splits, st.max_depth) == ("UNSAT", 79, 51, 2, 6)
+        assert brute_force_sat(f) is None
+        assert st.closed_zetas == [
+            ("n*", False), ("*", True), ("n*", False), ("n*", False),
+            ("nn*", False), ("nnnn*", True), ("n*", False), ("n*", False),
+        ]
 
 
 class TestNoPerChildFormula:

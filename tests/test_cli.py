@@ -6,11 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from detksat import characteristic, covering
 from detksat.cli import main
 from detksat.covering import ell_cover_spaces
-from detksat.formula import parse_dimacs, serialize_dimacs
+from detksat.formula import DimacsError, brute_force_sat, parse_dimacs, satisfies, serialize_dimacs
 from detksat.generator import gen_random_kcnf
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,6 +248,14 @@ class TestSolve:
         assert res.stderr == ""
         assert json.loads(res.stdout)["verdict"] == "SAT"
 
+    def test_br_mode_width_4_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "k4.cnf"
+        p.write_text("p cnf 4 1\n1 2 3 4 0\n")
+        assert main(["solve", str(p), "--mode", "br"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --mode br is the 3-SAT branching; width > 3\n"
+
     def test_modes_agree(self, tmp_path, capsys):
         from detksat.generator import gen_random_kcnf
         from detksat.formula import serialize_dimacs
@@ -259,6 +269,85 @@ class TestSolve:
             oracle = main(["solve", str(p), "--mode", "oracle"])
             capsys.readouterr()
             assert full == oracle
+
+
+FAULTS = ("header", "token", "unterminated", "count", "range", "tautology", "no-header", "two-headers")
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text of up to 12 variables: clauses of width 0-13 with repeated
+    literals and unused variables, sometimes broken by one of FAULTS."""
+    n = draw(st.integers(0, 12))
+    var = st.integers(1, max(n, 1))
+    width = st.one_of(st.lists(var, min_size=1, max_size=3), st.lists(var, max_size=13))
+    clauses = draw(st.lists(width if n else st.just([]), max_size=50))
+    signs = draw(st.integers(0, (1 << 13) - 1))
+    lines = [" ".join("%d" % (v if signs >> v & 1 else -v) for v in c + [0]) for c in clauses]
+    header = "p cnf %d %d" % (n, len(lines))
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    if fault == "header":
+        header = draw(st.sampled_from(["p cnf", "p dnf %d %d" % (n, len(lines)), "p cnf x 1", "p cnf -1 0"]))
+    elif fault == "token":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["1.5 0", "x 0", "--1 0"])))
+    elif fault == "unterminated":
+        lines.append(" ".join("%d" % v for v in draw(st.lists(var, min_size=1, max_size=4))))
+    elif fault == "count":
+        header = "p cnf %d %d" % (n, len(lines) + 1)
+    elif fault == "range":
+        lines.append("%d 0" % -(n + 1))
+        header = "p cnf %d %d" % (n, len(lines))
+    elif fault == "tautology" and n:
+        v = draw(var)
+        lines.append("%d %d 0" % (v, -v))
+        header = "p cnf %d %d" % (n, len(lines))
+    elif fault == "two-headers":
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    if fault != "no-header":
+        lines.insert(0, header)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "c a comment")
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzMain:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=dimacs_texts())
+    @example(text="p cnf 0 0\n")
+    @example(text="p cnf 5 1\n0\n")
+    @example(text="p cnf 12 1\n%s 0\n" % " ".join(map(str, [1] * 13)))
+    def test_every_mode_answers_or_exits_1(self, tmp_path, capsys, text):
+        """No exception escapes ``main``; exit 1 prints only ``error: ...``,
+        and a formula within the guards gets the oracle's verdict in every
+        mode, with a model that satisfies it."""
+        p = tmp_path / "fuzz.cnf"
+        p.write_text(text)
+        try:
+            f = parse_dimacs(text)
+        except DimacsError as e:
+            f, parse_error = None, "error: %s\n" % e
+        want = None if f is None else (10 if brute_force_sat(f) is not None else 20)
+        for mode in ("full", "br", "dls", "oracle"):
+            code = main(["solve", str(p), "--mode", mode])
+            captured = capsys.readouterr()
+            assert code in (0, 1, 10, 20)
+            if code == 1:
+                assert captured.out == ""
+                assert captured.err.startswith("error: ")
+            if f is None:
+                assert (code, captured.err) == (1, parse_error)
+                continue
+            if mode == "br" and f.width() > 3:
+                assert (code, captured.err) == (1, "error: --mode br is the 3-SAT branching; width > 3\n")
+                continue
+            if mode == "br" and code == 0:
+                assert json.loads(captured.out)["outcome"] == "instance"
+                continue
+            assert code == want, (mode, captured.err)
+            if code == 10:
+                bits = json.loads(captured.out)["assignment"]
+                assert len(bits) == f.n
+                assert satisfies(f, {v: int(b) for v, b in enumerate(bits, start=1)})
 
 
 class TestGen:
@@ -327,6 +416,18 @@ class TestTables:
     def test_bounds_kmax_out_of_range_exit_1(self, kmax, capsys):
         assert main(["bounds", "--kmax", kmax]) == 1
         assert capsys.readouterr().err.startswith("error: kmax")
+
+    def test_chain_table_mismatch_exit_2(self, monkeypatch, capsys):
+        from detksat import cli
+
+        def mismatch():
+            raise characteristic.Table2Error("row 1: lambda 3/7 != 1/2")
+
+        monkeypatch.setattr(cli, "reproduce_table2", mismatch)
+        assert main(["chain-table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "row 1: lambda 3/7 != 1/2\n"
 
     def test_chain_table_exact(self, capsys):
         assert main(["chain-table", "--exact"]) == 0
