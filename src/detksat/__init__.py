@@ -70,5 +70,5 @@ from .formula import (
     solve_2sat,
 )
 from .generator import Lcg, gen_random_kcnf
-from .local_search import dls, searchball
+from .local_search import ball_searcher, dls
 from .outcomes import SolveResult

@@ -327,16 +327,22 @@ def closed_form_1chain(k: int) -> Characteristic:
 # ---------------------------------------------------------------------------
 # f-values and the reference table
 
-_LAMBDA_CACHE: dict[str, Fraction] = {}
+# lambda by (canonical type, clause width, k), for the whole process
+_LAMBDA_CACHE: dict[tuple[str, int, int], Fraction] = {}
 
 
-def lambda_for_zeta(zeta_str: str) -> Fraction:
-    """Characteristic value of the canonical 3-CNF chain for a type string."""
+def lambda_for_zeta(zeta_str: str, chain: Optional[Chain] = None, k: int = 3) -> Fraction:
+    """Characteristic value at width k of ``chain``, of type ``zeta_str``
+    (by default the type's canonical 3-CNF chain), solved once per process.
+    The type and the clause width fix the chain's solution space up to a
+    permutation and sign flips of its coordinates, which keep lambda: the
+    memo is keyed by the canonical type, the clause width and k."""
     key = canonical_zeta(zeta_str)
-    if key not in _LAMBDA_CACHE:
-        chain = canonical_realization(key)
-        _LAMBDA_CACHE[key] = solve_characteristic(solution_space(chain), 3).lam
-    return _LAMBDA_CACHE[key]
+    memo = (key, 3 if chain is None else chain.k, k)
+    if memo not in _LAMBDA_CACHE:
+        chain = canonical_realization(key) if chain is None else chain
+        _LAMBDA_CACHE[memo] = solve_characteristic(solution_space(chain), k).lam
+    return _LAMBDA_CACHE[memo]
 
 
 def f_raw(b: Fraction, eta: int, lam: Fraction) -> float:
@@ -396,7 +402,3 @@ def reproduce_table2() -> list[ChainTypeRecord]:
     if problems:
         raise Table2Error("reference table mismatch:\n  " + "\n  ".join(problems))
     return records
-
-
-def characteristic_for_chain(chain: Chain, k: int) -> Characteristic:
-    return solve_characteristic(solution_space(chain), k)

@@ -21,7 +21,7 @@ from .bounds import KMAX, ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
 from .chains import TSV_HEADER, canonical_realization, solution_space
-from .characteristic import Table2Error, reproduce_table2
+from .characteristic import Table2Error, lambda_for_zeta, reproduce_table2
 from .covering import (
     CubeFactor,
     PowerFactor,
@@ -38,7 +38,7 @@ from .formula import (
     verify_model,
 )
 from .generator import gen_random_kcnf
-from .local_search import dls, group_lambda
+from .local_search import dls
 from .outcomes import SolveResult, answer
 
 EXIT_SAT = 10
@@ -150,9 +150,10 @@ def _cmd_cover(args) -> int:
         space = StructuredSpace((CubeFactor(args.cube),))
     else:
         nu, k = opt["nu"], opt["k"]
-        chain = canonical_realization(args.zeta)
-        sp = solution_space(chain)
-        fam = ell_cover_spaces((sp,) * nu, k, group_lambda(args.zeta, chain, k))
+        if nu < 1:
+            raise ValueError("--nu must be at least 1")
+        sp = solution_space(canonical_realization(args.zeta))
+        fam = ell_cover_spaces((sp,) * nu, k, lambda_for_zeta(args.zeta, k=k))
         space = StructuredSpace((PowerFactor((sp,) * nu),))
     # a product builds its levels when they are read, and its code size
     # guard refuses while it builds them: read them all before any output

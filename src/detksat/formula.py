@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,13 +87,8 @@ class Formula:
         that those eight values satisfy, so the clauses a word satisfies are
         the union of one entry per byte. Built on first use.
         """
-        masks, tables = self.lit_masks, []
-        for base in range(1, self.n + 1, 8):
-            tab = [0]
-            for v in range(base, base + 8):
-                tab = [t | masks.get(-v, 0) for t in tab] + [t | masks.get(v, 0) for t in tab]
-            tables.append(tuple(tab))
-        return tuple(tables)
+        masks = self.lit_masks
+        return byte_tables([(masks[-v], masks[v]) for v in range(1, self.n + 1)])
 
     @cached_property
     def clause_flips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -105,6 +100,21 @@ class Formula:
 
     def __len__(self) -> int:
         return len(self.clauses)
+
+
+def byte_tables(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Per-byte union tables of a word whose bit i contributes ``pairs[i]``:
+    the first value when the bit is 0, the second when it is 1. Table j maps
+    the byte of bits 8j..8j+7 to the union of their contributions, so a
+    word's union is the union of one entry per byte; every table has 256
+    entries, and a bit past the pairs contributes nothing."""
+    tables = []
+    for base in range(0, len(pairs), 8):
+        tab = [0]
+        for off, on in pairs[base : base + 8]:
+            tab = [t | off for t in tab] + [t | on for t in tab]
+        tables.append(tuple(tab * (256 // len(tab))))
+    return tuple(tables)
 
 
 def formula(n: int, clause_lits: Iterable[Iterable[int]]) -> Formula:
@@ -368,63 +378,49 @@ def solve_2sat(f: Formula) -> Optional[dict[int, int]]:
         raise ValueError("not a 2-CNF (width %d)" % f.width())
 
     # node encoding: literal l -> 2*var + (0 if positive else 1), so the
-    # node of -l is node(l) ^ 1
-    def node(l: int) -> int:
-        return 2 * abs(l) + (0 if l > 0 else 1)
-
+    # node of -l is 2*var + (1 if l is positive else 0)
     adj: dict[int, list[int]] = {}
     for c in f.clauses:
         # (a) is the edge -a -> a; (a b) the edges -a -> b and -b -> a
         a, b = c.lits[0], c.lits[-1]
         for x, y in ((a, b), (b, a))[: c.width]:
-            adj.setdefault(node(x) ^ 1, []).append(node(y))
+            adj.setdefault(2 * abs(x) + (x > 0), []).append(2 * abs(y) + (y < 0))
 
+    # iterative Tarjan: a frame is a node and the iterator over its
+    # successors, and a node is indexed when its frame first comes on top;
+    # a node with an index and no component is on the stack
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     comp: dict[int, int] = {}
-    counter = 0
-    ncomp = 0
     stack: list[int] = []
-    onstack: set[int] = set()
-
+    ncomp = 0
     for start in sorted(2 * v + b for v in f.variables() for b in (0, 1)):
         if start in index:
             continue
-        # iterative Tarjan
-        work = [(start, 0)]
+        work = [(start, iter(adj.get(start, ())))]
         while work:
-            x, pi = work[-1]
-            if pi == 0:
-                index[x] = low[x] = counter
-                counter += 1
+            x, succs = work[-1]
+            if x not in index:
+                index[x] = low[x] = len(index)
                 stack.append(x)
-                onstack.add(x)
-            recurse = False
-            succs = adj.get(x, ())
-            for j in range(pi, len(succs)):
-                y = succs[j]
+            for y in succs:
                 if y not in index:
-                    work[-1] = (x, j + 1)
-                    work.append((y, 0))
-                    recurse = True
+                    work.append((y, iter(adj.get(y, ()))))
                     break
-                if y in onstack:
+                if y not in comp:
                     low[x] = min(low[x], index[y])
-            if recurse:
-                continue
-            if low[x] == index[x]:
-                while True:
-                    y = stack.pop()
-                    onstack.discard(y)
-                    comp[y] = ncomp
-                    low[y] = low[x]
-                    if y == x:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                px, _ = work[-1]
-                low[px] = min(low[px], low[x])
+            else:
+                work.pop()
+                if low[x] == index[x]:
+                    while True:
+                        y = stack.pop()
+                        comp[y] = ncomp
+                        if y == x:
+                            break
+                    ncomp += 1
+                if work:
+                    px = work[-1][0]
+                    low[px] = min(low[px], low[x])
 
     assign: dict[int, int] = {v: 0 for v in range(1, f.n + 1)}
     for v in sorted(f.variables()):

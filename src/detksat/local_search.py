@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .chains import Chain, Instance, canonical_zeta, group_by_type, solution_space
-from .characteristic import characteristic_for_chain, lambda_for_zeta
+from .chains import Instance, group_by_type, solution_space
+from .characteristic import lambda_for_zeta
 from .covering import CubeFactor, PowerFactor, StructuredSpace, build_generalized_code, cover_cube, cube_radius
-from .formula import Formula, satisfies, verify_model
+from .formula import Formula, byte_tables, satisfies, verify_model
 
 
 def ball_searcher(f: Formula) -> Callable[[Iterable[int], int], tuple[int, Optional[int]]]:
@@ -135,37 +135,15 @@ def ball_searcher(f: Formula) -> Callable[[Iterable[int], int], tuple[int, Optio
     return scan
 
 
-def searchball(f: Formula, center: int, r: int) -> Optional[int]:
-    """The first satisfying word of the radius-r ball around ``center`` in
-    ``ball_searcher``'s order, or None if the ball holds none."""
-    return ball_searcher(f)((center,), r)[1]
-
-
 @dataclass
 class DlsStats:
-    """Balls searched, and the number of centers of each radius of the code
-    that the last ``dls`` call reached, ascending: every radius when the
-    answer is UNSAT, and up to the radius of the hit when it is SAT."""
+    """Balls searched by every ``dls`` call sharing the stats (the sub-solves
+    of ``br_k`` share one), and the centers of each radius of the code that
+    the last call reached, reset by each call, ascending: every radius when
+    the answer is UNSAT, and up to the radius of the hit when it is SAT."""
 
     balls_searched: int = 0
     code_sizes: dict[int, int] = field(default_factory=dict)
-
-
-# lambda by (canonical type, clause width, k), for the whole process
-_GROUP_LAMBDAS: dict[tuple[str, int, int], Fraction] = {}
-
-
-def group_lambda(key: str, chain: Chain, k: int) -> Fraction:
-    """The characteristic value at width k of a chain group of type ``key``
-    whose clauses have ``chain.k`` literals, solved once per process. The
-    type and the clause width fix the chain's solution space up to a
-    permutation and sign flips of its coordinates, which keep lambda; the
-    value is ``lambda_for_zeta``'s, which the branching shares, at k = 3,
-    and an exact solve of ``chain`` at any other k."""
-    memo = (canonical_zeta(key), chain.k, k)
-    if memo not in _GROUP_LAMBDAS:
-        _GROUP_LAMBDAS[memo] = lambda_for_zeta(key) if k == 3 else characteristic_for_chain(chain, k).lam
-    return _GROUP_LAMBDAS[memo]
 
 
 def structured_space_for(
@@ -184,7 +162,7 @@ def structured_space_for(
     lams: list[Fraction] = []
     for key, group in group_by_type(inst.chains).items():
         factors.append(PowerFactor(tuple(solution_space(ch) for ch in group)))
-        lams.append(group_lambda(key, group[0], k))
+        lams.append(lambda_for_zeta(key, group[0], k))
     return StructuredSpace(tuple(factors)), lams
 
 
@@ -196,24 +174,7 @@ def _validate_instance_clauses(f: Formula, inst: Instance) -> None:
                 raise ValueError("instance clause %s not found in formula" % (c,))
 
 
-def _byte_word_tables(coord_vars: tuple[int, ...]) -> list[list[int]]:
-    """Assignment-word bits set by each byte of a center.
-
-    Coordinate i of a center is variable ``coord_vars[i]``, bit v-1 of the
-    assignment word. Table j maps the byte of coordinates 8j..8j+7 to the
-    word bits of its ones, so a center's word is the union of one entry per
-    byte (``Formula.byte_sat_tables`` reads a word the same way).
-    """
-    tables = []
-    for base in range(0, len(coord_vars), 8):
-        tab = [0]
-        for v in coord_vars[base : base + 8]:
-            tab += [t | 1 << (v - 1) for t in tab]
-        tables.append(tab)
-    return tables
-
-
-def _center_words(centers: Iterable[int], word_tables: list[list[int]]) -> Iterator[int]:
+def _center_words(centers: Iterable[int], word_tables: tuple[tuple[int, ...], ...]) -> Iterator[int]:
     """The assignment word of each center, in order."""
     for center in centers:
         word, rest = 0, center
@@ -246,7 +207,8 @@ def dls(
     family = build_generalized_code(space, lams, k)
     stats = stats if stats is not None else DlsStats()
     stats.code_sizes = {}
-    word_tables = _byte_word_tables(space.coordinate_variables())
+    # bit i of a center is coordinate i's variable v, bit v-1 of the word
+    word_tables = byte_tables([(0, 1 << (v - 1)) for v in space.coordinate_variables()])
     scan = ball_searcher(f)
     for r, centers in family.levels():
         stats.code_sizes[r] = len(centers)

@@ -21,10 +21,13 @@ def test_tracer_sites_resolve(monkeypatch):
         tracer.uninstall()
     assert local_search.structured_space_for is original
     # the 3-SAT branching restricts no formula (it works on clause bitsets),
-    # and up_restrict and procedure P's second copy are deleted: these
-    # spans read 0
+    # up_restrict and procedure P's second copy are deleted, ball_searcher
+    # is the one ball search and lambda_for_zeta solves every chain group's
+    # lambda: these spans read 0
     assert tracer.missing == [
         "detksat.branching3.restrict",
         "detksat.branching3.up_restrict",
         "detksat.branching3.unit_propagate_tracked",
+        "detksat.local_search.searchball",
+        "detksat.local_search.characteristic_for_chain",
     ]

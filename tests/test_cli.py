@@ -496,6 +496,13 @@ class TestCover:
         assert main(["cover", "--cube", "4", "--rho", rho]) == 1
         assert capsys.readouterr().err.startswith("error: --rho")
 
+    @pytest.mark.parametrize("nu", ["0", "-2"])
+    def test_nu_below_1_exit_1(self, nu, capsys):
+        assert main(["cover", "--zeta", "*", "--nu", nu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --nu must be at least 1\n"
+
     @pytest.mark.parametrize("k", ["2", "1"])
     def test_k_below_3_exit_1(self, k, capsys):
         assert main(["cover", "--zeta", "*", "--k", k]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from detksat.formula import (
     Node,
     VerificationError,
     brute_force_sat,
+    byte_tables,
     clause,
     formula,
     hamming,
@@ -150,6 +152,25 @@ class TestNode:
             Node.of(formula(4, [(1, 2, 3, 4)]))
 
 
+def _two_cnfs(count, seed):
+    """Seeded 1/2-CNFs over n = 0..12 variables, some of them unused, with
+    unit clauses, empty formulas and UNSAT cases."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        used = rng.sample(range(1, n + 1), rng.randint(0, n))
+        cls = []
+        for _ in range(rng.randint(0, 3 * len(used))):
+            vs = rng.sample(used, min(len(used), rng.choice((1, 2, 2, 2))))
+            cls.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        yield formula(n, cls)
+
+
+# digest of the models solve_2sat chose for _two_cnfs(400, 29): 299 SAT,
+# 101 UNSAT
+TWO_SAT_MODELS_SHA256 = "96aac10f8968894378d6458638b75683613c3195bf936d38c4a3b370b34beb0d"
+
+
 class TestTwoSat:
     def test_classic_contradiction(self):
         f = formula(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
@@ -179,6 +200,57 @@ class TestTwoSat:
             if got is not None:
                 assert satisfies(f, got)
             checked += 1
+
+    def test_pinned_models(self):
+        # which model is chosen, not only that it satisfies the formula: the
+        # Tarjan order fixes the component ids and so every value
+        h = hashlib.sha256()
+        unsat = 0
+        for f in _two_cnfs(400, 29):
+            m = solve_2sat(f)
+            unsat += m is None
+            h.update(repr(None if m is None else sorted(m.items())).encode())
+        assert unsat == 101
+        assert h.hexdigest() == TWO_SAT_MODELS_SHA256
+
+
+class TestByteTables:
+    def test_match_bit_loop(self):
+        rng = random.Random(5)
+        for nbits in range(0, 20):
+            pairs = [(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(nbits)]
+            tables = byte_tables(pairs)
+            assert len(tables) == -(-nbits // 8)
+            assert all(len(t) == 256 for t in tables)
+            for _ in range(30):
+                # bits past the pairs, up to the byte boundary, add nothing
+                word = rng.getrandbits(8 * len(tables)) if tables else 0
+                got, rest = 0, word
+                for table in tables:
+                    got |= table[rest & 255]
+                    rest >>= 8
+                want = 0
+                for i, (off, on) in enumerate(pairs):
+                    want |= on if word >> i & 1 else off
+                assert got == want
+
+    def test_sat_tables_match_lit_masks(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            f = gen_random_kcnf(rng.randint(1, 4), rng.randint(4, 19), rng.randint(0, 40), rng.randint(0, 10**6))
+            masks = f.lit_masks
+            for _ in range(10):
+                word = rng.getrandbits(f.n)
+                got, rest = 0, word
+                for table in f.byte_sat_tables:
+                    got |= table[rest & 255]
+                    rest >>= 8
+                want = 0
+                for v in range(1, f.n + 1):
+                    want |= masks[v if word >> (v - 1) & 1 else -v]
+                assert got == want
+                assert got == sum(1 << i for i, c in enumerate(f.clauses)
+                                  if any((word >> (abs(l) - 1) & 1) == (l > 0) for l in c.lits))
 
 
 class TestBruteForce:

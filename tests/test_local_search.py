@@ -8,14 +8,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detksat.branching_k import SolveStats, solve_ksat
-from detksat import covering, local_search
+from detksat import characteristic, covering
 from detksat.bounds import lambda_1chain
-from detksat.chains import build_chain, build_instance, canonical_realization, canonical_zeta, zeta
-from detksat.characteristic import characteristic_for_chain
+from detksat.chains import build_chain, build_instance, canonical_realization, canonical_zeta, solution_space, zeta
+from detksat.characteristic import lambda_for_zeta, solve_characteristic
 from detksat.covering import build_generalized_code
-from detksat.formula import brute_force_sat, clause, formula, hamming, satisfies, verify_model
+from detksat.formula import brute_force_sat, byte_tables, clause, formula, hamming, satisfies, verify_model
 from detksat.generator import gen_random_kcnf
-from detksat.local_search import DlsStats, ball_searcher, dls, group_lambda, searchball, structured_space_for
+from detksat.local_search import DlsStats, ball_searcher, dls, structured_space_for
+
+
+def searchball(f, center, r):
+    """The first hit of the radius-r ball around center, or None."""
+    return ball_searcher(f)((center,), r)[1]
 
 
 def as_word(alpha, n):
@@ -412,7 +417,7 @@ class TestDls:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 21).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
     def test_center_words_match_bit_loop(self, coord_vars, data):
-        tables = local_search._byte_word_tables(tuple(coord_vars))
+        tables = byte_tables([(0, 1 << (v - 1)) for v in coord_vars])
         center = data.draw(st.integers(0, (1 << len(coord_vars)) - 1))
         word, rest = 0, center
         for table in tables:
@@ -461,12 +466,11 @@ class TestDls:
 
     def test_chain_centers_respect_solution_space(self):
         # instance holding one 1-chain: no center assigns the excluded word
-        from detksat.characteristic import characteristic_for_chain, lambda_for_zeta
         from detksat.covering import build_generalized_code
 
         f = formula(6, [(1, 2, 3), (4, 5, 6)])
         chain = build_chain([f.clauses[0]], 3)
-        wants = {3: lambda_for_zeta("*"), 4: characteristic_for_chain(chain, 4).lam}
+        wants = {3: lambda_for_zeta("*"), 4: solve_characteristic(solution_space(chain), 4).lam}
         for k, want in wants.items():
             space, lams = structured_space_for(f, build_instance([chain]), k)
             assert lams == [want]
@@ -596,16 +600,16 @@ class TestGroupLambda:
         from detksat.table_data import REFERENCE_CHAIN_TYPES
 
         memo = {}
-        monkeypatch.setattr(local_search, "_GROUP_LAMBDAS", memo)
+        monkeypatch.setattr(characteristic, "_LAMBDA_CACHE", memo)
         rng = random.Random(7)
         chains = [(z, canonical_realization(z), k) for z in dict.fromkeys(z for _, z, *_ in REFERENCE_CHAIN_TYPES)
                   for k in (3, 4, 5)]
         chains += [("*", build_chain([clause(range(1, k + 1))], k), k) for k in (4, 5, 6)]
         for z, chain, k in chains:
-            group_lambda(z, chain, k)
+            lambda_for_zeta(z, chain, k)
             other = _relabeled(chain, rng)
             assert canonical_zeta(zeta(other.clauses)) == canonical_zeta(z)
-            assert group_lambda(z, other, k) == characteristic_for_chain(other, k).lam, (z, k)
+            assert lambda_for_zeta(z, other, k) == solve_characteristic(solution_space(other), k).lam, (z, k)
         assert len(memo) == len(chains)
         for k in (4, 5, 6):
             assert memo["*", k, k] == lambda_1chain(k)
