@@ -9,7 +9,7 @@ to the local search than to the branching.
 
 from detksat import formula, member, procedure_p_tracked, tb_set
 from detksat.branching3 import Br3Stats, PhiConfig, br_3
-from detksat.chains import ChainVector, zeta
+from detksat.chains import zeta
 from detksat.formula import Node
 from detksat.branching3 import condition_phi
 from detksat.generator import gen_random_kcnf
@@ -31,9 +31,9 @@ print()
 print("=== the termination condition's arithmetic ===")
 cfg = PhiConfig()
 for count in (25, 26):
-    vec = ChainVector({("*", False): count})
+    typed = [("*", False)] * count
     print("%d independent 1-chains on 100 variables -> condition Phi %s"
-          % (count, "fires" if condition_phi(vec, 100, cfg) else "does not fire"))
+          % (count, "fires" if condition_phi(typed, 100, cfg) else "does not fire"))
 
 print()
 print("=== a traced run that ends in an instance ===")

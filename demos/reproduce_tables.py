@@ -6,9 +6,9 @@ solved from scratch by the rational LP solver, then cross-checked against the
 breadth-first type generator.
 """
 
-from detksat import balance_check, ck_recurrence, generate_chain_types, reproduce_table2
+from detksat import balance_check, ck_recurrence, generate_chain_types, reference_diff, reproduce_table2
 from detksat.bounds import round_up
-from detksat.chains import TSV_HEADER
+from detksat.characteristic import TSV_HEADER
 
 print("=== worst-case bases ===")
 print("k\tc_k (round-up)\tnu")
@@ -24,11 +24,12 @@ for rec in reproduce_table2():
 
 print()
 print("=== breadth-first generation vs the reference rows ===")
-report = generate_chain_types()
-print("generated %d type records" % len(report.records))
-missing = [d for d in report.reference_diff if "not generated" in d]
+records = generate_chain_types()
+diff = reference_diff(records)
+print("generated %d type records" % len(records))
+missing = [d for d in diff if "not generated" in d]
 print("reference rows missing from generation: %d" % len(missing))
-extras = [d for d in report.reference_diff if "not in reference" in d]
+extras = [d for d in diff if "not in reference" in d]
 print("closure is under-determined; %d extra classes beyond the reference:" % len(extras))
 for d in extras:
     print("  " + d)

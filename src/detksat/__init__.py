@@ -22,8 +22,6 @@ from .branching_k import (
 )
 from .chains import (
     Chain,
-    ChainTypeRecord,
-    ChainVector,
     Instance,
     SolutionSpace,
     branch_number,
@@ -32,16 +30,18 @@ from .chains import (
     canonical_realization,
     canonical_zeta,
     eta_of_zeta,
-    generate_chain_types,
     overlap_symbol,
     solution_space,
     transform,
     zeta,
 )
 from .characteristic import (
+    ChainTypeRecord,
     Characteristic,
     closed_form_1chain,
+    generate_chain_types,
     lambda_for_zeta,
+    reference_diff,
     reproduce_table2,
     solve_characteristic,
 )

@@ -25,12 +25,13 @@ leaf.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Container, Generator, NamedTuple, Optional
+from typing import Callable, Container, Generator, NamedTuple, Optional, Sequence
 
 from .bounds import c3
-from .chains import ChainVector, branch_number, overlap_symbol, transform
+from .chains import branch_number, canonical_zeta, overlap_symbol, transform
 from .characteristic import forced_termination, lambda_for_zeta
 from .formula import Clause, Formula, Node, bit_indices, lit_values, propagate, solve_2sat, verify_model
 from .outcomes import UNSAT, SolveResult
@@ -190,11 +191,20 @@ def rule_upsilon(pending: Probes, assigned: Container[int]) -> Optional[tuple[Cl
     return None
 
 
-def condition_phi(vec: ChainVector, n: int, cfg: PhiConfig) -> bool:
-    """sum_i nu_i log b_i > n log c."""
-    if not vec.counts:
-        return False
-    return vec.log2_branch_sum() > n * math.log2(cfg.c)
+def _log2_branch_sum(typed: Sequence[tuple[str, bool]]) -> float:
+    """sum_i nu_i log2 b_i over the chains' (zeta, r2), nu_i counting the
+    chains of each (canonical zeta, r2) in first-occurrence order."""
+    total = 0.0
+    for (z, r2), cnt in Counter((canonical_zeta(z), r2) for z, r2 in typed).items():
+        b = branch_number(z, r2)
+        total += cnt * (math.log2(b.numerator) - math.log2(b.denominator))
+    return total
+
+
+def condition_phi(typed: Sequence[tuple[str, bool]], n: int, cfg: PhiConfig) -> bool:
+    """sum_i nu_i log b_i > n log c over the (zeta, r2) of a path's chains;
+    never with no chain."""
+    return bool(typed) and _log2_branch_sum(typed) > n * math.log2(cfg.c)
 
 
 @dataclass
@@ -290,8 +300,8 @@ class _Search:
         if f.has_bottom:
             return self._leaf(UNSAT)
         typed = path.typed()
-        vec = ChainVector.from_typed_chains(typed)
-        if condition_phi(vec, f.root.n, self.cfg):
+        phi_num = _log2_branch_sum(typed)  # condition Phi's left side
+        if typed and phi_num > f.root.n * math.log2(self.cfg.c):
             self.stats.phi_events.append(PhiEvent(self.stats.leaves, path.product(), len(typed)))
             seq = [c for ch in path.closed for c in ch.origs] + list(path.origs)
             return SolveResult("INSTANCE", instance=transform(seq))
@@ -325,7 +335,7 @@ class _Search:
         if self.trace:
             self.trace(
                 "depth=%d clause=%s sym=%s zeta=%s phi_num=%.4f"
-                % (path.depth, sel, sym, path.syms, vec.log2_branch_sum())
+                % (path.depth, sel, sym, path.syms, phi_num)
             )
 
         u, w = sel.lits

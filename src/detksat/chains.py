@@ -255,135 +255,3 @@ def canonical_realization(zeta_str: str) -> Chain:
             nxt += 1
         cls.append(c)
     return build_chain(cls, 3)
-
-
-# ---------------------------------------------------------------------------
-# chain types and vectors
-
-
-@dataclass(frozen=True)
-class ChainTypeRecord:
-    type_id: int
-    zeta: str
-    r2: bool
-    b: Fraction
-    eta: int
-    lam: Fraction
-    f: float
-
-    def tsv_row(self, exact: bool = True) -> str:
-        lam = "%d/%d" % (self.lam.numerator, self.lam.denominator) if exact else "%.6f" % float(self.lam)
-        b = "%d/%d" % (self.b.numerator, self.b.denominator)
-        return "\t".join(
-            [str(self.type_id), self.zeta, "r2" if self.r2 else "-", b, str(self.eta), lam, "%.6f" % self.f]
-        )
-
-
-TSV_HEADER = "type\tzeta\tr2\tb\teta\tlambda\tf"
-
-
-@dataclass
-class ChainVector:
-    """Per-type chain counts, keyed by (canonical zeta, r2 flag)."""
-
-    counts: dict[tuple[str, bool], int]
-
-    @classmethod
-    def from_typed_chains(cls, typed: Iterable[tuple[str, bool]]) -> "ChainVector":
-        counts: dict[tuple[str, bool], int] = {}
-        for z, r2 in typed:
-            key = (canonical_zeta(z), r2)
-            counts[key] = counts.get(key, 0) + 1
-        return cls(counts)
-
-    def log2_branch_sum(self) -> float:
-        import math
-
-        total = 0.0
-        for (z, r2), cnt in self.counts.items():
-            b = branch_number(z, r2)
-            total += cnt * (math.log2(b.numerator) - math.log2(b.denominator))
-        return total
-
-
-@dataclass
-class GenerationReport:
-    """Output of the type generator plus the diff against the reference."""
-
-    records: list[ChainTypeRecord]
-    reference_diff: list[str]
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def generate_chain_types() -> GenerationReport:
-    """Breadth-first generation of chain types for the 3-SAT branching.
-
-    From every prefix the natural termination is emitted; a prefix on which
-    the doubled-branch-number rule fires is closed by the forced (r2)
-    termination and not extended; otherwise it extends by n, p and t (t must
-    be followed by termination or n). Emitted types are deduplicated up to
-    prefix reversal. The rule fires on every prefix of five symbols that the
-    generation reaches, so it ends.
-    """
-    from . import characteristic as ch
-
-    records: list[ChainTypeRecord] = []
-    emitted: set[tuple[str, bool]] = set()
-
-    def emit(body: str, r2: bool) -> None:
-        z = canonical_zeta(body + "*")
-        if (z, r2) not in emitted:
-            emitted.add((z, r2))
-            records.append(ch.type_record(len(records) + 1, z, r2, ch.lambda_for_zeta(z)))
-
-    queue: list[str] = [""]
-    while queue:
-        body = queue.pop(0)
-        fires = False
-        if body:
-            z = canonical_zeta(body + "*")
-            fires = ch.forced_termination(z, ch.lambda_for_zeta(z))
-        if body.endswith("t"):
-            # the composite two-negative node always produces some branches
-            # whose next clause is independent, so the natural ending exists
-            # alongside a forced one
-            emit(body, False)
-            if fires:
-                emit(body, True)
-                continue
-        elif fires:
-            # eager forced termination preempts the natural ending
-            emit(body, True)
-            continue
-        else:
-            emit(body, False)
-        ext = ["n"] if body.endswith("t") else ["n", "p", "t"]
-        for s in ext:
-            queue.append(body + s)
-
-    return GenerationReport(records, _reference_diff(records))
-
-
-def _reference_diff(records: list[ChainTypeRecord]) -> list[str]:
-    """Compare the dominant (worst-f) variant per type string with the
-    reference rows; the reference tabulates one row per string."""
-    from .table_data import REFERENCE_CHAIN_TYPES
-
-    gen: dict[str, bool] = {}
-    for r in records:
-        gen[r.zeta] = gen.get(r.zeta, False) or r.r2
-    ref = {canonical_zeta(z): r2 for (_i, z, r2, _lam, _f) in REFERENCE_CHAIN_TYPES}
-    out = []
-    for z in sorted(set(ref) - set(gen)):
-        out.append("reference type %s not generated" % z)
-    for z in sorted(set(gen) - set(ref)):
-        out.append("generated type %s%s not in reference" % (z, " r2" if gen[z] else ""))
-    for z in sorted(set(gen) & set(ref)):
-        if gen[z] != ref[z]:
-            out.append(
-                "type %s: generated %s, reference %s"
-                % (z, "r2" if gen[z] else "natural", "r2" if ref[z] else "natural")
-            )
-    return out

@@ -1,4 +1,5 @@
-"""Exact characteristic values and distributions of chain solution spaces.
+"""Exact characteristic values and distributions of chain solution spaces,
+and the chain-type table built from them.
 
 For a solution space A and width parameter k, the characteristic pair
 (lambda, pi) is the unique solution of the square system
@@ -47,7 +48,6 @@ import numpy as np
 
 from .chains import (
     Chain,
-    ChainTypeRecord,
     branch_number,
     canonical_realization,
     canonical_zeta,
@@ -57,6 +57,7 @@ from .chains import (
 )
 from .bounds import lambda_1chain
 from .formula import hamming
+from .table_data import REFERENCE_CHAIN_TYPES
 
 SPACE_LIMIT = 4096
 DENSE_LIMIT = 0  # every solve is modular; bench/tracer.py reads the name
@@ -263,11 +264,12 @@ def _solve_modular(
 ) -> tuple[list[Fraction], np.ndarray]:
     """(y, orbit) with y[orbit[i]] the value at words[i] of the solution of
     M y = 1: the residues of one more prime at a time on the system on orbits
-    are CRT-combined and reconstructed until a reconstruction, expanded to
-    every word, verifies exactly on the full system."""
+    are CRT-combined into the residues modulo the product m of the primes so
+    far, and reconstructed orbit by orbit, until a reconstruction, expanded
+    to every word, verifies exactly on the full system."""
     dmat, starts, orbit = _reduced_system(words, width)
-    residues: list[np.ndarray] = []
-    primes: list[int] = []
+    combined = [0] * len(starts)
+    m = 1
     singular_hits = 0
     for p in _PRIMES:
         try:
@@ -277,34 +279,21 @@ def _solve_modular(
             if singular_hits >= 3:
                 raise CharacteristicError("system appears singular")
             continue
-        residues.append(res)
-        primes.append(p)
-        y = _combine(residues, primes, len(starts))
-        if y is not None and _verify_exact(words, width, k, [y[o] for o in orbit.tolist()]):
-            return y, orbit
-    raise CharacteristicError("rational reconstruction failed with %d primes" % len(primes))
-
-
-def _combine(residues: list[np.ndarray], primes: list[int], n: int) -> Optional[list[Fraction]]:
-    m = 1
-    combined = [0] * n
-    for res, p in zip(residues, primes):
-        if m == 1:
-            combined = [int(v) for v in res]
-            m = p
-            continue
         inv = pow(m % p, p - 2, p)
-        for i in range(n):
-            diff = (int(res[i]) - combined[i]) % p
-            combined[i] = combined[i] + m * (diff * inv % p)
+        combined = [c + m * ((r - c) * inv % p) for c, r in zip(combined, res.tolist())]
         m *= p
-    out: list[Fraction] = []
-    for c in combined:
-        f = _rational_reconstruct(c, m)
-        if f is None:
-            return None
-        out.append(f)
-    return out
+        y: list[Fraction] = []
+        for c in combined:
+            f = _rational_reconstruct(c, m)
+            if f is None:
+                break
+            y.append(f)
+        else:
+            if _verify_exact(words, width, k, [y[o] for o in orbit.tolist()]):
+                return y, orbit
+    raise CharacteristicError(
+        "rational reconstruction failed with %d primes" % (len(_PRIMES) - singular_hits)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +351,27 @@ def forced_termination(z: str, lam: Fraction) -> bool:
     return f_raw(2 * branch_number(z), eta_of_zeta(z), lam) <= F1
 
 
+@dataclass(frozen=True)
+class ChainTypeRecord:
+    type_id: int
+    zeta: str
+    r2: bool
+    b: Fraction
+    eta: int
+    lam: Fraction
+    f: float
+
+    def tsv_row(self, exact: bool = True) -> str:
+        lam = "%d/%d" % (self.lam.numerator, self.lam.denominator) if exact else "%.6f" % float(self.lam)
+        b = "%d/%d" % (self.b.numerator, self.b.denominator)
+        return "\t".join(
+            [str(self.type_id), self.zeta, "r2" if self.r2 else "-", b, str(self.eta), lam, "%.6f" % self.f]
+        )
+
+
+TSV_HEADER = "type\tzeta\tr2\tb\teta\tlambda\tf"
+
+
 def type_record(type_id: int, z: str, r2: bool, lam: Fraction) -> ChainTypeRecord:
     """The chain-type row of type z, forced (r2) or natural, with value lam."""
     b = branch_number(z, r2)
@@ -379,8 +389,6 @@ def reproduce_table2() -> list[ChainTypeRecord]:
     Each lambda comes from ``lambda_for_zeta``, so a process solves each type
     once. Raises Table2Error with an itemized diff on any mismatch.
     """
-    from .table_data import REFERENCE_CHAIN_TYPES
-
     records: list[ChainTypeRecord] = []
     problems: list[str] = []
     for type_id, z, r2, lam_str, f_prefix in REFERENCE_CHAIN_TYPES:
@@ -402,3 +410,70 @@ def reproduce_table2() -> list[ChainTypeRecord]:
     if problems:
         raise Table2Error("reference table mismatch:\n  " + "\n  ".join(problems))
     return records
+
+
+def generate_chain_types() -> list[ChainTypeRecord]:
+    """Breadth-first generation of chain types for the 3-SAT branching.
+
+    From every prefix the natural termination is emitted; a prefix on which
+    the doubled-branch-number rule fires is closed by the forced (r2)
+    termination and not extended; otherwise it extends by n, p and t (t must
+    be followed by termination or n). Emitted types are deduplicated up to
+    prefix reversal. The rule fires on every prefix of five symbols that the
+    generation reaches, so it ends.
+    """
+    records: list[ChainTypeRecord] = []
+    emitted: set[tuple[str, bool]] = set()
+
+    def emit(body: str, r2: bool) -> None:
+        z = canonical_zeta(body + "*")
+        if (z, r2) not in emitted:
+            emitted.add((z, r2))
+            records.append(type_record(len(records) + 1, z, r2, lambda_for_zeta(z)))
+
+    queue: list[str] = [""]
+    while queue:
+        body = queue.pop(0)
+        fires = False
+        if body:
+            z = canonical_zeta(body + "*")
+            fires = forced_termination(z, lambda_for_zeta(z))
+        if body.endswith("t"):
+            # the composite two-negative node always produces some branches
+            # whose next clause is independent, so the natural ending exists
+            # alongside a forced one
+            emit(body, False)
+            if fires:
+                emit(body, True)
+                continue
+        elif fires:
+            # eager forced termination preempts the natural ending
+            emit(body, True)
+            continue
+        else:
+            emit(body, False)
+        ext = ["n"] if body.endswith("t") else ["n", "p", "t"]
+        for s in ext:
+            queue.append(body + s)
+    return records
+
+
+def reference_diff(records: list[ChainTypeRecord]) -> list[str]:
+    """Compare the dominant (worst-f) variant per type string with the
+    reference rows; the reference tabulates one row per string."""
+    gen: dict[str, bool] = {}
+    for r in records:
+        gen[r.zeta] = gen.get(r.zeta, False) or r.r2
+    ref = {canonical_zeta(z): r2 for (_i, z, r2, _lam, _f) in REFERENCE_CHAIN_TYPES}
+    out = []
+    for z in sorted(set(ref) - set(gen)):
+        out.append("reference type %s not generated" % z)
+    for z in sorted(set(gen) - set(ref)):
+        out.append("generated type %s%s not in reference" % (z, " r2" if gen[z] else ""))
+    for z in sorted(set(gen) & set(ref)):
+        if gen[z] != ref[z]:
+            out.append(
+                "type %s: generated %s, reference %s"
+                % (z, "r2" if gen[z] else "natural", "r2" if ref[z] else "natural")
+            )
+    return out

@@ -20,8 +20,8 @@ from . import __version__
 from .bounds import KMAX, ck_recurrence, round_up
 from .branching3 import PhiConfig, br_3
 from .branching_k import SolveStats, solve_ksat
-from .chains import TSV_HEADER, canonical_realization, solution_space
-from .characteristic import Table2Error, lambda_for_zeta, reproduce_table2
+from .chains import canonical_realization, solution_space
+from .characteristic import TSV_HEADER, Table2Error, lambda_for_zeta, reproduce_table2
 from .covering import (
     CubeFactor,
     PowerFactor,

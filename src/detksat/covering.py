@@ -58,6 +58,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .chains import SolutionSpace
+from .generator import Lcg
 
 log = logging.getLogger(__name__)
 
@@ -463,12 +464,12 @@ def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeF
     def guard() -> None:
         count = math.prod(fam.built_size() for fam in families)
         if count > CODE_SIZE_LIMIT:
-            raise CoverError("code size guard: %d centers > %d" % (count, CODE_SIZE_LIMIT))
+            raise CoverError("code size guard: %s centers > %d" % (_count_text(count), CODE_SIZE_LIMIT))
 
     guard()
     bound = math.prod(fam.least for fam in families)
     if bound > CODE_SIZE_LIMIT:
-        raise CoverError("code size guard: at least %d centers > %d" % (bound, CODE_SIZE_LIMIT))
+        raise CoverError("code size guard: at least %s centers > %d" % (_count_text(bound), CODE_SIZE_LIMIT))
     done = -1  # the last radius built; none yet
 
     def step() -> Optional[Level]:
@@ -497,6 +498,12 @@ def product_code(families: Sequence[CodeFamily], description: str = "") -> CodeF
     ds = [fam.distinct for fam in families]
     least = max(fam.least * math.prod(ds[:j] + ds[j + 1 :]) for j, fam in enumerate(families))
     return CodeFamily(width, description=description, step=step, least=least, distinct=math.prod(ds))
+
+
+def _count_text(count: int) -> str:
+    """A count in decimal, or above 2^64 as the power of two 2^N <= count:
+    Python refuses to print an int of more than 4,300 digits."""
+    return "%d" % count if count <= 1 << 64 else "2^%d" % (count.bit_length() - 1)
 
 
 def ell_for(nu: int, k: int, lam: Fraction) -> int:
@@ -554,13 +561,13 @@ def _ell_cover_shapes(shapes: Shapes, k: int, lam: Fraction) -> CodeFamily:
     ``_ell_cover_shapes.__wrapped__`` builds without the memo. A whole
     power's ``distinct`` is its largest level bound: a level's centers are
     distinct."""
-    budgets = _ell_budgets(len(shapes), k, lam)
     runs = _ell_runs(shapes)
     if runs is not None:
         return product_code(
             [_ell_cover_shapes(run, k, lam) for run in runs],
             "ell-family nu=%d (runs %s)" % (len(shapes), [len(run) for run in runs]),
         )
+    budgets = _ell_budgets(len(shapes), k, lam)
     width = sum(w for w, _ in shapes)
     r, member, uncovered = 0, None, None
 
@@ -688,8 +695,6 @@ def verify_coverage(
 
 
 def _sample_words(space: StructuredSpace, samples: int) -> np.ndarray:
-    from .generator import Lcg
-
     rng = Lcg(VERIFY_SEED)
     parts = space.factor_parts()
     offs = list(accumulate((w for w, _ in parts), initial=0))

@@ -15,12 +15,12 @@ from detksat.chains import (
     canonical_realization,
     canonical_zeta,
     eta_of_zeta,
-    generate_chain_types,
     overlap_symbol,
     solution_space,
     transform,
     zeta,
 )
+from detksat.characteristic import generate_chain_types, reference_diff
 from detksat.formula import clause
 
 
@@ -231,16 +231,17 @@ class TestCanonical:
 
 class TestGenerator:
     def test_generation(self):
-        rep = generate_chain_types()
-        zetas = {(r.zeta, r.r2) for r in rep.records}
+        records = generate_chain_types()
+        diff = reference_diff(records)
+        zetas = {(r.zeta, r.r2) for r in records}
         # first emitted type is the single-clause chain
-        assert rep.records[0].zeta == "*" and not rep.records[0].r2
-        assert rep.records[0].lam == Fraction(3, 7)
-        assert ("%.7f" % rep.records[0].f).startswith("0.98586")
+        assert records[0].zeta == "*" and not records[0].r2
+        assert records[0].lam == Fraction(3, 7)
+        assert ("%.7f" % records[0].f).startswith("0.98586")
         # the forced termination of the all-negative 4-overlap chain exists
         assert ("nnnn*", True) in zetas
         # every reference row is produced
-        assert not [d for d in rep.reference_diff if "not generated" in d]
+        assert not [d for d in diff if "not generated" in d]
         # the closure is under-determined: the generator reports extras
         # beyond the 38 tabulated rows instead of guessing
-        assert any("not in reference" in d for d in rep.reference_diff)
+        assert any("not in reference" in d for d in diff)

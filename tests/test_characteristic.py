@@ -162,17 +162,18 @@ class TestModularPaths:
             solve_characteristic(self.SPACE, 3)
 
     def test_unverified_reconstruction_rejected(self, monkeypatch):
-        real = characteristic._combine
+        real = characteristic._verify_exact
         calls = []
 
-        def combine(residues, primes, n):
-            y = real(residues, primes, n)
-            calls.append(len(primes))
-            return [y[0] + 1] + y[1:] if len(primes) == 1 else y
+        # the first prime's reconstruction is exact but rejected: the solve
+        # folds in the next prime and verifies again
+        def verify(words, width, k, y):
+            calls.append(real(words, width, k, y))
+            return len(calls) > 1 and calls[-1]
 
-        monkeypatch.setattr(characteristic, "_combine", combine)
+        monkeypatch.setattr(characteristic, "_verify_exact", verify)
         assert agrees_with_reference(self.SPACE, 3)
-        assert calls == [1, 2]
+        assert calls == [True, True]
 
     def test_negative_pi_rejected(self):
         # M y = 1 has the solution y[12] = -2/27 on this 7-word space

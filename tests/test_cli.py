@@ -165,6 +165,28 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: code size guard: at least")
 
+    def test_size_bound_past_the_digit_limit_exit_1(self, tmp_path, capsys, monkeypatch):
+        # 20,000 disjoint 4-clauses: one power of 20,000 1-chains, split into
+        # 4,000 runs of five whose bounds multiply to a number of about
+        # 14,700 digits, refused as a power of two; the budgets of the whole
+        # power, which the runs do not use, are never computed
+        real = covering._ell_budgets
+
+        def budgets(nu, k, lam):
+            assert nu <= 5, "budgets of a power split into runs"
+            return real(nu, k, lam)
+
+        monkeypatch.setattr(covering, "_ell_budgets", budgets)
+        p = tmp_path / "disjoint.cnf"
+        p.write_text(
+            "p cnf 80000 20000\n"
+            + "".join("%d %d %d %d 0\n" % tuple(range(4 * i + 1, 4 * i + 5)) for i in range(20000))
+        )
+        assert main(["solve", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: code size guard: at least 2^48772 centers > 4194304\n"
+
     def test_wide_power_decided(self, tmp_path, capsys):
         # six disjoint 4-clauses: a 24-bit power of 1-chains, built as two
         # runs of three chains
@@ -487,6 +509,19 @@ class TestCover:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: code size guard: ")
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [(["--cube", "30000"], 5084), (["--cube", "100000"], 16949), (["--zeta", "*", "--nu", "20000"], 27740)],
+        ids=["cube-30000", "cube-100000", "zeta-nu-20000"],
+    )
+    def test_size_bound_past_2_64_printed_as_power_of_two(self, argv, bits, capsys):
+        # the bounds have about 1,500 to 8,400 digits; Python prints no int
+        # of more than 4,300
+        assert main(["cover"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: code size guard: at least 2^%d centers > 4194304\n" % bits
 
     def test_rho_rejected(self, capsys):
         assert main(["cover", "--cube", "4", "--rho", "1/2"]) == 1

@@ -511,6 +511,21 @@ class TestSizeGuard:
         with pytest.raises(CoverError, match="code size guard"):
             prod.size()  # the refused level is not kept, so a later read repeats it
 
+    def test_huge_counts_printed_as_powers_of_two(self):
+        # 2^20000 and 3^10000 have more digits than Python prints (4,300)
+        built = CodeFamily(1, {0: (0, 1)})
+        with pytest.raises(CoverError, match=r"^code size guard: 2\^20000 centers > 4194304$"):
+            product_code([built] * 20000)
+        unbuilt = CodeFamily(1, step=lambda: None, least=3)
+        assert (3**10000).bit_length() == 15850
+        with pytest.raises(CoverError, match=r"^code size guard: at least 2\^15849 centers > 4194304$"):
+            product_code([unbuilt] * 10000)
+
+    def test_count_text_exact_up_to_2_64(self):
+        assert covering._count_text(4383288) == "4383288"
+        assert covering._count_text(1 << 64) == "18446744073709551616"
+        assert covering._count_text((1 << 65) - 1) == "2^64"
+
 
 class TestBounds:
     @settings(max_examples=80, deadline=None)
