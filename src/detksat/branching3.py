@@ -16,10 +16,13 @@ committed without branching.
 
 A node's formula is a ``formula.Node`` over the input clauses, indexed once
 at ``br_3`` entry, so a clause's index names its root clause. A probe is one
-closure, kept as its members, conflict flag and fixes; a forced literal's
-child assigns the fixes into the probed node, and any other child assigns 1-2
-literals into its parent's bitsets. A ``Formula`` is built only for a 2-SAT
-leaf.
+closure, run by ``formula.unit_closure`` on the probed node's ints without
+building a node, and kept as its members, conflict flag and fixes; a forced
+literal's child assigns the fixes into the probed node, and any other child
+assigns 1-2 literals into its parent's bitsets. Procedure P keeps one probe
+table per call and updates it in place at a 3->2 replacement: only a probe
+that fixes a variable of the replaced clause is looked at again. A
+``Formula`` is built only for a 2-SAT leaf.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Container, Generator, NamedTuple, Optional, Sequenc
 from .bounds import c3
 from .chains import branch_number, canonical_zeta, overlap_symbol, transform
 from .characteristic import forced_termination, lambda_for_zeta
-from .formula import Clause, Formula, Node, bit_indices, lit_values, propagate, solve_2sat, verify_model
+from .formula import Clause, Formula, Node, bit_indices, lit_values, propagate, solve_2sat, unit_closure, verify_model
 from .outcomes import UNSAT, SolveResult
 
 
@@ -74,11 +77,15 @@ Probes = tuple[tuple[Node, TbResult], ...]
 def tb_set(f: Node, lit: int) -> TbResult:
     """2-clauses of UP(f | lit=1) descending from 3-clauses of f: those the
     closure shortens by one literal and leaves unsatisfied, by root index
-    (one mask). On a conflict the set is empty and the flag is set."""
-    g, fixes, conflict = propagate(f, {abs(lit): 1 if lit > 0 else 0})
+    (one mask). On a conflict the set is empty and the flag is set. The
+    closure runs on f's ints; no node is built."""
+    fixes = {abs(lit): 1 if lit > 0 else 0}
+    sat, lo, hi, _, conflict = unit_closure(f, fixes)
     if conflict:
         return TbResult((), True, fixes)
-    return TbResult(tuple(bit_indices(f.wide & g.hi & ~(g.lo | g.sat))), False, fixes)
+    # two free literals after and an odd count at f, so three there (counts
+    # only fall), unsatisfied (sat only grows)
+    return TbResult(tuple(bit_indices(f.lo & hi & ~(lo | sat))), False, fixes)
 
 
 def member(f: Node, tb: TbResult, s: int) -> Clause:
@@ -121,9 +128,46 @@ def _after_cut(tb: TbResult, s: int, cut: int, rest: tuple[int, ...]) -> Optiona
     if tb.conflict:
         return tb
     fx = tb.fixes
-    truth = [None if abs(l) not in fx else fx[abs(l)] == (l > 0) for l in rest]
-    if True in truth or fx.get(abs(cut)) == (cut < 0) or truth == [None, None]:
-        return tb if s not in tb.src else TbResult(tuple(j for j in tb.src if j != s), False, fx)
+    a, b = rest
+    va, vb = abs(a), abs(b)
+    # with rest fixed in part, kept only when a literal of rest is true or
+    # cut is false
+    if (va in fx or vb in fx) and fx.get(va) != (a > 0) and fx.get(vb) != (b > 0) and fx.get(abs(cut)) != (cut < 0):
+        return None
+    return tb if s not in tb.src else TbResult(tuple(j for j in tb.src if j != s), False, fx)
+
+
+def _cut_probes(probes: dict[int, TbResult], s: int, cut: int, rest: tuple[int, ...]) -> dict[int, Optional[TbResult]]:
+    """Carry a probe table of g over to g.remove(s, cut) in place, by
+    ``_after_cut``, dropping each probe it returns None for. A probe that
+    fixes no variable of s is kept as it is without the call (case (a)).
+    Returns the probes that changed or were dropped, by literal."""
+    va, vb, vc = abs(cut), abs(rest[0]), abs(rest[1])
+    moved = {}
+    for l, p in probes.items():
+        fx = p.fixes
+        if (va in fx or vb in fx or vc in fx) and (q := _after_cut(p, s, cut, rest)) is not p:
+            moved[l] = q
+    for l, q in moved.items():
+        if q is None:
+            del probes[l]
+        else:
+            probes[l] = q
+    return moved
+
+
+def _replacement(g: Node, pairs: Sequence[tuple[TbResult, int]]) -> Optional[tuple[TbResult, int]]:
+    """The first member s of a probe tb of g in ``pairs``, ``(tb, other)``
+    in order, whose clause contains the other literal of the scanned
+    2-clause, as ``(tb, s)``; None when there is none. A member has three
+    free literals at g, so g's mask of other tells whether it holds other."""
+    for tb, other in pairs:
+        if abs(other) in tb.fixes:
+            continue  # the closure fixes other: no member holds it
+        holds = g.masks[other]
+        for s in tb.src:
+            if holds >> s & 1:
+                return tb, s
     return None
 
 
@@ -131,8 +175,9 @@ def procedure_p_tracked(f: Node) -> tuple[Node, dict[int, int]]:
     """Simplification to fixpoint: unit propagation, autark commitment, and
     3-clause-to-2-clause replacement. Returns f simplified and the fixed
     variables. A replacement keeps every probe whose closure it provably
-    leaves unchanged (``_after_cut``), and a 2-clause that did nothing is not
-    scanned again while both its probes are kept unchanged."""
+    leaves unchanged (``_after_cut``), updating the table in place
+    (``_cut_probes``), and a 2-clause that did nothing is not scanned again
+    while both its probes are kept unchanged."""
     g, fixes, conflict = propagate(f, {})
     clauses = g.clauses
     # propagated once: neither step below leaves a unit clause, since a
@@ -155,22 +200,15 @@ def procedure_p_tracked(f: Node) -> tuple[Node, dict[int, int]]:
                 fixes.update(fx)
                 probes, quiet = {}, {}
                 break
-            # a member of one probe that contains the other literal
-            rep = next(((tb, s) for tb, other in ((tb1, l2), (tb2, l1)) for s in tb.src
-                        if other in clauses[s].lits and abs(other) not in tb.fixes), None)
+            rep = _replacement(g, ((tb1, l2), (tb2, l1)))
             if rep is not None:
                 tb, s = rep
                 cut = next(l for l in clauses[s].lits if abs(l) in tb.fixes)
                 rest = tuple(l for l in clauses[s].lits if l != cut)
                 g = g.remove(s, cut)
-                # case (a) of _after_cut, without the call: a probe that fixes
-                # no variable of s is kept as it is
-                va, vb, vc = abs(cut), abs(rest[0]), abs(rest[1])
-                kept = {l: p if va not in p.fixes and vb not in p.fixes and vc not in p.fixes
-                        else _after_cut(p, s, cut, rest) for l, p in probes.items()}
+                moved = _cut_probes(probes, s, cut, rest)
                 # a 2-clause stays quiet while both its probes are unchanged
-                quiet = {j: c for j, c in quiet.items() if all(kept[l] is probes[l] for l in c)}
-                probes = {l: p for l, p in kept.items() if p is not None}
+                quiet = {j: c for j, c in quiet.items() if c[0] not in moved and c[1] not in moved}
                 break
             quiet[i] = (l1, l2)
         else:

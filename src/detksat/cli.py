@@ -225,6 +225,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, VerificationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory (the input is too large for this machine)", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

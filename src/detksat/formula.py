@@ -6,7 +6,8 @@ is its tuple of literals; a zero-literal clause is the falsified clause
 
 The 3-SAT branching works on a ``Node``: a formula's clauses, indexed once
 as per-literal clause bitsets (``Formula.lit_masks``), under an assignment
-and 3->2 replacements; ``propagate`` is its unit-propagation closure. At a
+and 3->2 replacements. ``unit_closure`` is the one unit-propagation loop,
+over a node's ints; ``propagate`` wraps its result in a new node. At a
 node, a clause is named by its index in that formula, the root.
 """
 
@@ -310,7 +311,7 @@ class Node(NamedTuple):
     def lits(self, i: int) -> tuple[int, ...]:
         """The literals of clause i at the node, in clause order."""
         fixed, masks = self.fixed, self.masks
-        return tuple(l for l in self.root.clauses[i].lits if not fixed >> abs(l) & 1 and masks[l] >> i & 1)
+        return tuple([l for l in self.root.clauses[i].lits if not fixed >> abs(l) & 1 and masks[l] >> i & 1])
 
     def assign(self, alpha: Mapping[int, int]) -> "Node":
         """The node with alpha's variables set, unpropagated."""
@@ -333,34 +334,52 @@ class Node(NamedTuple):
 def propagate(node: Node, alpha: Mapping[int, int], units: bool = True) -> tuple[Node, dict[int, int], bool]:
     """Unit-propagation closure of alpha at the node: the node reached, the
     fixes (alpha first, then each unit) and whether a clause was falsified.
-    The next unit is the lowest set bit of (count 1) & ~sat, and propagation
-    stops at the first literal that leaves a count 0 outside ``sat``. With
-    ``units`` false, alpha alone is assigned."""
-    root, full, sat, lo, hi, fixed, masks = node
+    With ``units`` false, alpha alone is assigned."""
     fixes = dict(alpha)
+    sat, lo, hi, fixed, conflict = unit_closure(node, fixes, units)
+    return Node(node.root, node.full, sat, lo, hi, fixed, node.masks), fixes, conflict
+
+
+def unit_closure(node: Node, fixes: dict[int, int], units: bool = True) -> tuple[int, int, int, int, bool]:
+    """The unit-propagation loop: the node's ``(sat, lo, hi, fixed)`` after
+    assigning ``fixes`` and, with ``units``, every unit it leaves, each
+    appended to ``fixes`` in place; and whether a clause was falsified. The
+    next unit is the lowest set bit of (count 1) & ~sat, and propagation
+    stops at the first literal that leaves a count 0 outside ``sat``. A
+    node that already has a falsified clause is a conflict, nothing
+    assigned."""
+    root, full, sat, lo, hi, fixed, masks = node
     if units and lo | hi | sat != full:
-        return node, fixes, True
-    # a variable assigned at the node is in no clause there, as after a
-    # restriction: it is fixed again without effect
-    todo = [v if b == 1 else -v for v, b in fixes.items() if not fixed >> v & 1]
+        return sat, lo, hi, fixed, True
+    clauses = root.clauses
+    for v, b in fixes.items():
+        if fixed >> v & 1:
+            # a variable assigned at the node is in no clause there, as
+            # after a restriction: it is fixed again without effect
+            continue
+        fixed |= 1 << v
+        false = masks[-v if b == 1 else v]
+        sat |= masks[v if b == 1 else -v]
+        hi ^= false & ~lo
+        lo ^= false
     while True:
-        for l in todo:
-            fixed |= 1 << abs(l)
-            false = masks[-l]
-            sat |= masks[l]
-            hi ^= false & ~lo
-            lo ^= false
         hs = hi | sat
         conflict = lo | hs != full
         unit = lo & ~hs
         if conflict or not unit or not units:
-            return Node(root, full, sat, lo, hi, fixed, masks), fixes, conflict
+            return sat, lo, hi, fixed, conflict
         i = (unit & -unit).bit_length() - 1
-        for l in root.clauses[i].lits:
+        for l in clauses[i].lits:
             if not fixed >> abs(l) & 1 and masks[l] >> i & 1:
                 break
-        fixes[abs(l)] = 1 if l > 0 else 0
-        todo = (l,)
+        # the unit's literal, assigned as alpha's were above
+        v = abs(l)
+        fixes[v] = 1 if l > 0 else 0
+        fixed |= 1 << v
+        false = masks[-l]
+        sat |= masks[l]
+        hi ^= false & ~lo
+        lo ^= false
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +470,19 @@ def brute_force_sat(f: Formula) -> Optional[dict[int, int]]:
         return None
     total = 1 << n
     chunk = 1 << min(n, 20)
+    used = f.variables()
     for base in range(0, total, chunk):
         idx = np.arange(base, min(base + chunk, total), dtype=np.int64)
+        # each literal's truth over the chunk, one bit plane per variable
+        truth = {}
+        for v in used:
+            plane = ((idx >> (n - v)) & 1).astype(bool)
+            truth[v], truth[-v] = plane, ~plane
         ok = np.ones(idx.shape, dtype=bool)
         for c in f.clauses:
             cs = np.zeros(idx.shape, dtype=bool)
             for l in c.lits:
-                bit = (idx >> (n - abs(l))) & 1
-                cs |= (bit == 1) if l > 0 else (bit == 0)
+                cs |= truth[l]
             ok &= cs
             if not ok.any():
                 break

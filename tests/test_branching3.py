@@ -5,7 +5,7 @@ from functools import cached_property
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detksat import branching3, branching_k
@@ -546,6 +546,35 @@ class TestNodeMatchesRebuiltFormula:
         assert list(fixes.items()) == list(rfixes.items())
 
 
+class TestProbeMatchesNodeRoute:
+    """``tb_set`` runs the closure on the node's ints and builds no node; it
+    must give what the node-building route gives: ``propagate`` into a new
+    node, then the members as one mask."""
+
+    @staticmethod
+    def _by_node(node, lit):
+        g, fixes, conflict = propagate(node, {abs(lit): 1 if lit > 0 else 0})
+        if conflict:
+            return (), True, fixes
+        return tuple(bit_indices(node.wide & g.pairs)), False, fixes
+
+    @settings(max_examples=300, deadline=None)
+    @given(_node_walk())
+    # a falsified clause at the node: every probe is a conflict
+    @example((formula(3, [(1, 2, 3), ()]), []))
+    # x1 assigned, leaving the unit (2): a probe of x1 or -x1 fixes x1 again
+    # without effect and still propagates the unit
+    @example((formula(3, [(1, 2), (-1, 3), (2, -3, 1)]), [(True, 0, 0)]))
+    def test_every_literal(self, case):
+        node = _walk(*case)[0]
+        for lit in (l for v in range(1, node.root.n + 1) for l in (v, -v)):
+            tb = tb_set(node, lit)
+            src, conflict, fixes = self._by_node(node, lit)
+            assert tb.src == src, lit
+            assert tb.conflict == conflict, lit
+            assert list(tb.fixes.items()) == list(fixes.items()), lit
+
+
 class TestBundleSeedOnAFixedLiteral:
     def test_probe_of_an_assigned_literal_changes_nothing(self):
         # a two-negative bundle child whose third literal P already fixed is
@@ -712,6 +741,35 @@ class TestKeptProbesMatchFresh:
         for g in REUSE_CASES:
             self._assert_matches_reference(Node.of(g), g, range(len(g)))
         assert hits
+
+
+class TestProbeTableKeptInPlace:
+    def test_replacement_matches_a_rebuild(self, monkeypatch):
+        """After each 3->2 replacement P's probe table holds what a full
+        rebuild through ``_after_cut`` holds, in the same order, and every
+        probe that fixes no variable of the replaced clause is the very
+        object it was."""
+        real, cuts = branching3._cut_probes, []
+
+        def checked(probes, s, cut, rest):
+            before = dict(probes)
+            moved = real(probes, s, cut, rest)
+            rebuilt = {l: q for l, p in before.items() if (q := branching3._after_cut(p, s, cut, rest)) is not None}
+            assert list(probes.items()) == list(rebuilt.items())
+            for l, p in before.items():
+                if not {abs(cut), abs(rest[0]), abs(rest[1])} & p.fixes.keys():
+                    assert probes[l] is p
+            assert set(moved) == {l for l, p in before.items() if probes.get(l) is not p}
+            cuts.append((len(moved), len(before)))
+            return moved
+
+        monkeypatch.setattr(branching3, "_cut_probes", checked)
+        for g in REUSE_CASES:
+            procedure_p_tracked(Node.of(g))
+        # the probe whose member was replaced always changes (the clause
+        # leaves its members), and most probes stay as they were
+        assert cuts and all(m for m, _ in cuts)
+        assert sum(m for m, _ in cuts) < sum(n for _, n in cuts) // 2
 
 
 class TestPinnedProbes:

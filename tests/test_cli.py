@@ -102,6 +102,18 @@ class TestSolve:
         assert captured.out == ""
         assert "falsifies clause 1" in captured.err
 
+    def test_out_of_memory_exit_1(self, sat_file, capsys, monkeypatch):
+        from detksat import cli
+
+        def exhausted(f, **kw):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve_ksat", exhausted)
+        assert main(["solve", sat_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+
     def test_cover_guard_exit_1(self, tmp_path, capsys):
         # the local search covers the 81-variable cube at radius 27 by five
         # blocks of 16-17 bits, whose product has about 5.6e8 centers
